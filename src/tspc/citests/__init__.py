@@ -22,6 +22,7 @@ from .hsic import (
     hsic_ci_test,
     hsic_conditional,
     median_bandwidth,
+    pair_gamma,
     strided_subset,
 )
 
@@ -45,5 +46,6 @@ __all__ = [
     "hsic_ci_test",
     "hsic_conditional",
     "median_bandwidth",
+    "pair_gamma",
     "strided_subset",
 ]

@@ -16,7 +16,6 @@ import numpy as np
 
 from ..data import DataMatrix
 from ..rng import make_generator
-from .base import CiQuery
 
 __all__ = ["BootstrapConfig", "stationary_bootstrap_indices", "stationary_bootstrap_threshold"]
 
@@ -63,8 +62,7 @@ def stationary_bootstrap_indices(
 
 def stationary_bootstrap_threshold(
     values: DataMatrix | np.ndarray,
-    query: CiQuery,
-    statistic: Callable[[np.ndarray, CiQuery], float],
+    statistic: Callable[[np.ndarray], float],
     config: BootstrapConfig = BootstrapConfig(),
 ) -> float:
     """Empirical quantile of the statistic over stationary-bootstrap resamples.
@@ -88,5 +86,5 @@ def stationary_bootstrap_threshold(
     stats = np.empty(config.num_replicates, dtype=np.float64)
     for b in range(config.num_replicates):
         idx = stationary_bootstrap_indices(n, config.expected_block_length, rng)
-        stats[b] = statistic(arr[idx], query)
+        stats[b] = statistic(arr[idx])
     return float(np.quantile(stats, config.quantile, method="higher"))

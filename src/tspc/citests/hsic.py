@@ -21,7 +21,7 @@ import numpy as np
 from scipy import linalg as sla
 from scipy.spatial.distance import pdist, squareform
 
-from .base import CiOutcome, CiQuery, CiTestError
+from .base import CiOutcome, CiTestError
 from .bootstrap import BootstrapConfig, stationary_bootstrap_threshold
 
 __all__ = [
@@ -30,25 +30,24 @@ __all__ = [
     "centered_gram",
     "hsic_conditional",
     "hsic_ci_test",
+    "pair_gamma",
     "decoupled_pair_gamma",
 ]
 
 
 @dataclass(frozen=True)
 class HsicConfig:
-    """Kernel bandwidth rule, regularizer decay, and threshold policy.
+    """Kernel bandwidth rule, regularizer decay, and fixed threshold.
 
     bandwidth is the string "median" (per-block median pairwise distance) or
-    a fixed positive real.  For hsic_ci_test exactly one of gamma (fixed
-    threshold) and bootstrap (calibration settings) must be set; the raw
-    statistic ignores both.  max_rows, when set, caps the rows a single test
-    sees by taking an evenly strided subset.
+    a fixed positive real.  hsic_ci_test compares the statistic against
+    gamma, which it requires; the raw statistic ignores it.  max_rows, when
+    set, caps the rows a single test sees by taking an evenly strided subset.
     """
 
     bandwidth: float | str = "median"
     eps_exponent: float = 0.25
     gamma: float | None = None
-    bootstrap: BootstrapConfig | None = None
     max_rows: int | None = None
 
     def __post_init__(self) -> None:
@@ -61,8 +60,6 @@ class HsicConfig:
             raise ValueError(f"eps_exponent must lie in (0, 1/3), got {self.eps_exponent}")
         if self.gamma is not None and not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.gamma is not None and self.bootstrap is not None:
-            raise ValueError("gamma and bootstrap calibration are mutually exclusive")
         if self.max_rows is not None and self.max_rows < 4:
             raise ValueError(f"max_rows must be at least 4, got {self.max_rows}")
 
@@ -205,41 +202,63 @@ def strided_subset(n: int, max_rows: int) -> np.ndarray:
     return np.floor(np.linspace(0, n, num=max_rows, endpoint=False)).astype(np.intp)
 
 
+def _cap_rows(arr: np.ndarray, config: HsicConfig) -> np.ndarray:
+    if config.max_rows is not None and arr.shape[0] > config.max_rows:
+        return arr[strided_subset(arr.shape[0], config.max_rows)]
+    return arr
+
+
+def pair_gamma(
+    pair: np.ndarray,
+    boot: BootstrapConfig,
+    config: HsicConfig = HsicConfig(),
+) -> float:
+    """Null threshold for the statistic from a pair known to be independent.
+
+    Resampling the rows of a tested pair keeps x_t and y_t together, so the
+    bootstrap quantile tracks whatever dependence the pair carries; it reads
+    as a null level only when the pair was independent to begin with.  Given
+    such a two-column matrix, this returns the boot.quantile bootstrap
+    quantile of the unconditional statistic, which then serves as one fixed
+    gamma for every query of a search.  Rows are capped at config.max_rows
+    and the block length is clamped to a tenth of the row count (at least 2)
+    so short inputs still calibrate.
+    """
+    arr = np.asarray(pair, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"need a two-column matrix, got shape {arr.shape}")
+    arr = _cap_rows(arr, config)
+    block = max(2.0, min(boot.expected_block_length, arr.shape[0] / 10.0))
+    if block != boot.expected_block_length:
+        boot = replace(boot, expected_block_length=block)
+
+    def stat(resampled: np.ndarray) -> float:
+        return hsic_conditional(resampled[:, 0], resampled[:, 1], None, config)
+
+    return stationary_bootstrap_threshold(arr, stat, boot)
+
+
 def decoupled_pair_gamma(
     values: np.ndarray,
     boot: BootstrapConfig,
     config: HsicConfig = HsicConfig(),
 ) -> float:
-    """Null threshold for the statistic, calibrated on a surrogate pair.
+    """pair_gamma on a surrogate pair built from the first two columns.
 
-    Resampling the rows of a tested pair keeps x_t and y_t together, so the
-    bootstrap quantile tracks whatever dependence the pair carries; it reads
-    as a null level only when the pair was independent to begin with.  This
-    builds such a pair from the first two columns by rotating the second one
-    half the sample length, which breaks short-range coupling while keeping
-    the marginals and autocorrelation that set the statistic's scale.  The
-    quantile then transfers as a fixed gamma for other queries on the same
-    matrix.  Block length is clamped to a tenth of the (possibly capped) row
-    count so short inputs still calibrate.
+    When no column pair is known to be independent, rotating the second
+    column by half the (possibly capped) sample length breaks short-range
+    coupling with the first while keeping the marginals and autocorrelation
+    that set the statistic's scale.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise ValueError(f"need an n x p matrix with p >= 2, got shape {arr.shape}")
-    if config.max_rows is not None and arr.shape[0] > config.max_rows:
-        arr = arr[strided_subset(arr.shape[0], config.max_rows)]
+    arr = _cap_rows(arr, config)
     n = arr.shape[0]
     if n < 20:
         raise ValueError(f"need at least 20 rows to calibrate, got {n}")
     surrogate = np.column_stack([arr[:, 0], np.roll(arr[:, 1], n // 2)])
-    block = max(2.0, min(boot.expected_block_length, n / 10.0))
-    if block != boot.expected_block_length:
-        boot = replace(boot, expected_block_length=block)
-    plain = HsicConfig(bandwidth=config.bandwidth, eps_exponent=config.eps_exponent)
-
-    def stat(resampled: np.ndarray, _q: CiQuery) -> float:
-        return hsic_conditional(resampled[:, 0], resampled[:, 1], None, plain)
-
-    return stationary_bootstrap_threshold(surrogate, CiQuery(0, 1), stat, boot)
+    return pair_gamma(surrogate, boot, config)
 
 
 def hsic_ci_test(
@@ -248,13 +267,9 @@ def hsic_ci_test(
     z: np.ndarray | None,
     config: HsicConfig,
 ) -> CiOutcome:
-    """Decide one query with a fixed or bootstrap-calibrated threshold.
-
-    The bootstrap path resamples rows of the joint (x, y, z) block and takes
-    the configured quantile of the recomputed statistic.
-    """
-    if (config.gamma is None) == (config.bootstrap is None):
-        raise ValueError("exactly one of gamma and bootstrap must be set")
+    """Decide one query: the statistic against the fixed threshold config.gamma."""
+    if config.gamma is None:
+        raise ValueError("hsic_ci_test needs a fixed threshold: set HsicConfig.gamma")
     xa = _as_block(x)
     ya = _as_block(y)
     za = None
@@ -269,19 +284,4 @@ def hsic_ci_test(
         xa = xa[idx]
         ya = ya[idx]
         za = za[idx] if za is not None else None
-
-    statistic = hsic_conditional(xa, ya, za, config)
-    if config.gamma is not None:
-        threshold = config.gamma
-    else:
-        cols = [xa, ya] + ([za] if za is not None else [])
-        joint = np.hstack(cols)
-        m = 2 + (za.shape[1] if za is not None else 0)
-        query = CiQuery(0, 1, tuple(range(2, m)))
-
-        def stat_fn(values: np.ndarray, q: CiQuery) -> float:
-            zz = values[:, 2:] if values.shape[1] > 2 else None
-            return hsic_conditional(values[:, 0], values[:, 1], zz, config)
-
-        threshold = stationary_bootstrap_threshold(joint, query, stat_fn, config.bootstrap)
-    return CiOutcome.decide(statistic, threshold)
+    return CiOutcome.decide(hsic_conditional(xa, ya, za, config), config.gamma)

@@ -29,8 +29,16 @@ from .graphs import Dag, Pdag, RolledGraph, graph_from_json, roll, to_dot, to_js
 from .pc import PcConfig, decisions_to_csv, pc
 from .evaluate import TPR_MODES, confusion, metrics
 from .reproduce import METHODS, SweepConfig, run_sweep, write_outputs
+from .rng import STREAM_CALIBRATE, STREAM_SUBSAMPLE, derive_seed
 from .simulate import PARADIGMS, SimConfig, generate
-from .tpc import TpcnsConfig, WindowConfig, frequencies_to_csv, tpc, tpcns, unroll
+from .tpc import (
+    TpcnsConfig,
+    WindowConfig,
+    calibration_rows,
+    frequencies_to_csv,
+    tpc,
+    tpcns,
+)
 
 __all__ = ["main"]
 
@@ -267,61 +275,42 @@ def _run_simulate(args: argparse.Namespace) -> None:
     print(f"wrote {out / 'data.csv'} ({data.n} rows x {data.p} columns)")
 
 
-def _hsic_calibration_matrix(args: argparse.Namespace, data: DataMatrix):
-    """Rows the kernel searches will actually see, for threshold calibration."""
-    if args.method == "pc":
-        return data.values
-    embedded = unroll(data, WindowConfig(tau=args.tau, r=args.stride))
-    if args.method == "tpcns":
-        return embedded.values[: args.L]
-    return embedded.values
-
-
-def _discover_pc_config(args: argparse.Namespace, data: DataMatrix, unrolled_p: int) -> PcConfig:
-    if args.test == "gaussian":
-        try:
-            if args.gamma is not None:
-                g = GaussianCiConfig(gamma=args.gamma)
-            else:
-                g = GaussianCiConfig(alpha=args.alpha)
-            return PcConfig(
-                backend="gaussian", gaussian=g,
-                max_cond_size=args.max_cond_size, stable=args.stable,
-            )
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-    if args.test == "hsic":
-        try:
-            if args.gamma is not None:
-                h = HsicConfig(gamma=args.gamma, max_rows=args.max_rows)
-            else:
-                # One threshold per run, from a decoupled surrogate pair: the
-                # per-query bootstrap quantile would track the very dependence
-                # under test and so could never flag an edge.
+def _discover_pc_config(
+    args: argparse.Namespace, data: DataMatrix, window: WindowConfig
+) -> PcConfig:
+    try:
+        if args.test == "gaussian":
+            alpha = args.alpha if args.gamma is None else None
+            ci_config = {"gaussian": GaussianCiConfig(alpha=alpha, gamma=args.gamma)}
+        elif args.test == "hsic":
+            gamma = args.gamma
+            if gamma is None:
+                # One threshold per run, from a decoupled surrogate pair: a
+                # bootstrap quantile taken on the pair under test would track
+                # the very dependence being tested and so could never flag an
+                # edge.
                 gamma = decoupled_pair_gamma(
-                    _hsic_calibration_matrix(args, data),
+                    calibration_rows(data, args.method, window, args.L),
                     BootstrapConfig(
                         num_replicates=args.bootstrap_replicates,
                         expected_block_length=args.block_length,
                         quantile=1.0 - args.alpha,
-                        seed=args.seed,
+                        seed=derive_seed(args.seed, STREAM_CALIBRATE),
                     ),
                     HsicConfig(max_rows=args.max_rows),
                 )
-                h = HsicConfig(gamma=gamma, max_rows=args.max_rows)
-            return PcConfig(
-                backend="hsic", hsic=h,
-                max_cond_size=args.max_cond_size, stable=args.stable,
-            )
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-    if args.truth is None:
-        raise CliError("the oracle test requires --truth")
-    truth = _load_truth_dag(args.truth, unrolled_p)
-    return PcConfig(
-        backend="oracle", truth=truth,
-        max_cond_size=args.max_cond_size, stable=args.stable,
-    )
+            ci_config = {"hsic": HsicConfig(gamma=gamma, max_rows=args.max_rows)}
+        else:
+            if args.truth is None:
+                raise CliError("the oracle test requires --truth")
+            unrolled_p = data.p if args.method == "pc" else data.p * args.tau
+            ci_config = {"truth": _load_truth_dag(args.truth, unrolled_p)}
+        return PcConfig(
+            backend=args.test, max_cond_size=args.max_cond_size, stable=args.stable,
+            **ci_config,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _run_discover(args: argparse.Namespace) -> None:
@@ -341,8 +330,7 @@ def _run_discover(args: argparse.Namespace) -> None:
         window = WindowConfig(tau=args.tau, r=args.stride)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    unrolled_p = data.p if args.method == "pc" else data.p * args.tau
-    pc_cfg = _discover_pc_config(args, data, unrolled_p)
+    pc_cfg = _discover_pc_config(args, data, window)
     out = _prepare_out(args)
 
     if args.method == "pc":
@@ -369,7 +357,7 @@ def _run_discover(args: argparse.Namespace) -> None:
             freq_cutoff=args.cutoff,
             pc=pc_cfg,
             window=window,
-            seed=args.seed,
+            seed=derive_seed(args.seed, STREAM_SUBSAMPLE),
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc

@@ -17,7 +17,8 @@ a diagnostic instead of silently picking a side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
@@ -90,10 +91,12 @@ class PcConfig:
     """Backend selection and search policy.
 
     max_cond_size None means the default cap p - 2 (every size a pool can
-    reach).  node_order permutes the visit order of both pair enumeration
-    and subset enumeration; identity when None.  stable snapshots each
-    node's neighbourhood at the start of a level so deletions within the
-    level cannot influence later conditioning pools.
+    reach).  The Gaussian backend at level alpha further caps it at n - 4,
+    the largest size its threshold is defined for.  node_order permutes the
+    visit order of both pair enumeration and subset enumeration; identity
+    when None.  stable snapshots each node's neighbourhood at the start of a
+    level so deletions within the level cannot influence later conditioning
+    pools.
     """
 
     backend: str = "gaussian"
@@ -261,9 +264,13 @@ def oracle_ci(truth: Dag) -> Callable[[CiQuery], CiOutcome]:
     return ci
 
 
+def _gaussian_config(config: PcConfig) -> GaussianCiConfig:
+    return config.gaussian if config.gaussian is not None else GaussianCiConfig(alpha=0.05)
+
+
 def _make_ci(values: np.ndarray, config: PcConfig) -> Callable[[CiQuery], CiOutcome]:
     if config.backend == "gaussian":
-        gcfg = config.gaussian if config.gaussian is not None else GaussianCiConfig(alpha=0.05)
+        gcfg = _gaussian_config(config)
         cov = sample_covariance(values)
 
         def ci(query: CiQuery) -> CiOutcome:
@@ -288,11 +295,28 @@ def pc(data: DataMatrix | np.ndarray, config: PcConfig = PcConfig()) -> PcResult
     values = data.values if isinstance(data, DataMatrix) else np.asarray(data, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"data must be two-dimensional, got shape {values.shape}")
-    p = values.shape[1]
+    n, p = values.shape
+    search = config
+    if config.backend == "gaussian" and _gaussian_config(config).alpha is not None:
+        # The alpha-mode threshold needs n - |k| - 3 > 0, so larger
+        # conditioning sets cannot be tested on this sample.
+        if n < 4:
+            raise ValueError(f"the Fisher-z test at level alpha needs at least 4 rows, got {n}")
+        reachable = config.max_cond_size if config.max_cond_size is not None else max(p - 2, 0)
+        if reachable > n - 4:
+            search = replace(config, max_cond_size=n - 4)
     ci = _make_ci(values, config)
     log: list[CiDecision] = []
-    skeleton, seps = find_skeleton(ci, p, config, log)
+    skeleton, seps = find_skeleton(ci, p, search, log)
     diagnostics: list[str] = []
+    if search is not config:
+        # The cap bound if some adjacent pair still had a larger pool.
+        degrees = Counter(v for edge in skeleton.edges for v in edge)
+        if max(degrees.values(), default=0) - 1 > search.max_cond_size:
+            diagnostics.append(
+                f"conditioning sets capped at size {n - 4}: the Fisher-z threshold "
+                f"at level alpha needs n - |k| - 3 > 0 and the sample has {n} rows"
+            )
     pdag = orient(skeleton, seps, diagnostics)
     return PcResult(pdag, skeleton, seps, tuple(log), tuple(diagnostics))
 

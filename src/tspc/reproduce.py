@@ -6,8 +6,8 @@ the search on windows of tau consecutive rows and roll the result.  TPCNS and
 TPCNSHS add subsample aggregation on top.  The *HS variants use the kernel
 dependence test with one fixed threshold per run, calibrated by stationary
 bootstrap on the known independent pair (columns 1 and 2 are mutually
-independent inputs in all four benchmark dynamics); recalibrating inside every
-query would multiply cost by the replicate count for no benefit at this scale.
+independent inputs in all four benchmark dynamics) of the rows the search
+sees.
 
 Window depth defaults to two (one step of history next to the current step).
 With depth one a window holds a single time point, and in the lag-driven
@@ -25,23 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
-from .citests import (
-    BootstrapConfig,
-    CiQuery,
-    GaussianCiConfig,
-    HsicConfig,
-    stationary_bootstrap_threshold,
-)
-from .citests.hsic import hsic_conditional, strided_subset
+from .citests import BootstrapConfig, GaussianCiConfig, HsicConfig, pair_gamma
 from .data import DataMatrix, write_text_atomic
 from .evaluate import EdgeConfusion, MetricsReport, aggregate, confusion, edge_frequency, metrics
 from .graphs import RolledGraph, roll
 from .pc import PcConfig, pc
-from .rng import derive_seed
+from .rng import STREAM_CALIBRATE, STREAM_SUBSAMPLE, derive_seed
 from .simulate import PARADIGMS, SimConfig, generate, ground_truth
-from .tpc import TpcnsConfig, WindowConfig, tpc, tpcns, unroll
+from .tpc import TpcnsConfig, WindowConfig, calibration_rows, tpc, tpcns
 
 __all__ = [
     "METHODS",
@@ -56,10 +47,6 @@ __all__ = [
 ]
 
 METHODS = ("PC", "PCHS", "TPCS", "TPCSHS", "TPCNS", "TPCNSHS")
-
-# Stream labels for derive_seed so independent uses cannot collide.
-_STREAM_CALIBRATE = 7
-_STREAM_SUBSAMPLE = 11
 
 
 @dataclass(frozen=True)
@@ -114,6 +101,8 @@ class SweepConfig:
             raise ValueError(f"need at least 1 repetition, got {self.reps}")
         if self.tau < 1 or self.stride < 1:
             raise ValueError("tau and stride must be at least 1")
+        if not self.calibration_block > 1.0:
+            raise ValueError(f"calibration_block must exceed 1, got {self.calibration_block}")
 
 
 @dataclass(frozen=True)
@@ -139,34 +128,6 @@ def _eta_key(eta: float) -> int:
     return int(round(eta * 1000))
 
 
-def _calibrate_gamma(
-    values: np.ndarray,
-    alpha: float,
-    seed: int,
-    cfg: SweepConfig,
-) -> float:
-    """Fixed kernel-test threshold: the (1 - alpha) bootstrap quantile of the
-    statistic on the known independent column pair of this matrix.
-    """
-    if cfg.hsic_max_rows is not None and values.shape[0] > cfg.hsic_max_rows:
-        values = values[strided_subset(values.shape[0], cfg.hsic_max_rows)]
-    pair = np.ascontiguousarray(values[:, :2])
-    n = pair.shape[0]
-    block = max(2.0, min(cfg.calibration_block, n / 10.0))
-    boot = BootstrapConfig(
-        num_replicates=cfg.calibration_replicates,
-        expected_block_length=block,
-        quantile=1.0 - alpha,
-        seed=seed,
-    )
-    plain = HsicConfig()
-
-    def stat(resampled: np.ndarray, _q: CiQuery) -> float:
-        return hsic_conditional(resampled[:, 0], resampled[:, 1], None, plain)
-
-    return stationary_bootstrap_threshold(pair, CiQuery(0, 1), stat, boot)
-
-
 def _estimate(
     method: str,
     data: DataMatrix,
@@ -177,20 +138,16 @@ def _estimate(
     """One method on one series; returns the estimated rolled graph."""
     window = WindowConfig(tau=cfg.tau, r=cfg.stride)
     midx = METHODS.index(method)
-    if method in ("PCHS", "TPCSHS", "TPCNSHS"):
-        if method == "PCHS":
-            cal_matrix = data.values
-        elif method == "TPCSHS":
-            cal_matrix = unroll(data, window).values
-        else:
-            # Calibrate at the row count the subsample searches will see.
-            cal_matrix = unroll(data, window).values[: cfg.window_length]
-        gamma = _calibrate_gamma(
-            cal_matrix,
-            alpha,
-            derive_seed(*rep_key, midx, _STREAM_CALIBRATE),
-            cfg,
+    family = method.removesuffix("HS").lower()
+    if method.endswith("HS"):
+        rows = calibration_rows(data, family, window, cfg.window_length)
+        boot = BootstrapConfig(
+            num_replicates=cfg.calibration_replicates,
+            expected_block_length=cfg.calibration_block,
+            quantile=1.0 - alpha,
+            seed=derive_seed(*rep_key, midx, STREAM_CALIBRATE),
         )
+        gamma = pair_gamma(rows[:, :2], boot, HsicConfig(max_rows=cfg.hsic_max_rows))
         pc_cfg = PcConfig(
             backend="hsic",
             hsic=HsicConfig(gamma=gamma, max_rows=cfg.hsic_max_rows),
@@ -198,10 +155,10 @@ def _estimate(
     else:
         pc_cfg = PcConfig(backend="gaussian", gaussian=GaussianCiConfig(alpha=alpha))
 
-    if method in ("PC", "PCHS"):
+    if family == "pc":
         result = pc(data, pc_cfg)
         return roll(result.pdag, data.p, 1)
-    if method in ("TPCS", "TPCSHS"):
+    if family == "tpcs":
         return tpc(data, window, pc_cfg).rolled
     tpcns_cfg = TpcnsConfig(
         window_length=cfg.window_length,
@@ -209,7 +166,7 @@ def _estimate(
         freq_cutoff=cfg.freq_cutoff,
         pc=pc_cfg,
         window=window,
-        seed=derive_seed(*rep_key, midx, _STREAM_SUBSAMPLE),
+        seed=derive_seed(*rep_key, midx, STREAM_SUBSAMPLE),
     )
     return tpcns(data, tpcns_cfg).graph
 

@@ -13,7 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_generator", "derive_seed"]
+__all__ = ["STREAM_CALIBRATE", "STREAM_SUBSAMPLE", "make_generator", "derive_seed"]
+
+# Final key part for each independent use of randomness within one run, so
+# kernel-threshold calibration and subsample starts never share a stream.
+STREAM_CALIBRATE = 7
+STREAM_SUBSAMPLE = 11
 
 
 def derive_seed(*key: int) -> int:

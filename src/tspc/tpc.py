@@ -30,6 +30,7 @@ __all__ = [
     "TpcnsConfig",
     "TpcnsResult",
     "unroll",
+    "calibration_rows",
     "tpc",
     "tpcns",
     "forward_time",
@@ -71,6 +72,23 @@ def unroll(data: DataMatrix, window: WindowConfig) -> DataMatrix:
         stop = offset + (count - 1) * window.r + 1
         out[:, p * offset:p * (offset + 1)] = data.values[offset:stop:window.r]
     return DataMatrix(out)
+
+
+def calibration_rows(
+    data: DataMatrix, method: str, window: WindowConfig, window_length: int
+) -> np.ndarray:
+    """The rows a search of one method family sees, for threshold calibration.
+
+    "pc" searches the raw rows and "tpcs" the unrolled rows; "tpcns" searches
+    stretches of window_length unrolled rows, represented by the first one,
+    so a calibrated threshold matches the row count it will be applied at.
+    """
+    if method == "pc":
+        return data.values
+    if method not in ("tpcs", "tpcns"):
+        raise ValueError(f"method must be 'pc', 'tpcs' or 'tpcns', got {method!r}")
+    rows = unroll(data, window).values
+    return rows[:window_length] if method == "tpcns" else rows
 
 
 @dataclass(frozen=True)

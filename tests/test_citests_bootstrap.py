@@ -7,7 +7,6 @@ import pytest
 
 from tspc.citests import (
     BootstrapConfig,
-    CiQuery,
     stationary_bootstrap_indices,
     stationary_bootstrap_threshold,
 )
@@ -15,8 +14,8 @@ from tspc.data import DataMatrix
 from tspc.rng import derive_seed, make_generator
 
 
-def abs_corr(values: np.ndarray, query: CiQuery) -> float:
-    return float(abs(np.corrcoef(values[:, query.i], values[:, query.j])[0, 1]))
+def abs_corr(values: np.ndarray) -> float:
+    return float(abs(np.corrcoef(values[:, 0], values[:, 1])[0, 1]))
 
 
 class TestConfig:
@@ -60,39 +59,39 @@ class TestThreshold:
         rng = make_generator(3)
         values = rng.normal(size=(100, 2))
         cfg = BootstrapConfig(num_replicates=1, expected_block_length=5.0, quantile=0.95, seed=11)
-        thr = stationary_bootstrap_threshold(values, CiQuery(0, 1), abs_corr, cfg)
+        thr = stationary_bootstrap_threshold(values, abs_corr, cfg)
         idx = stationary_bootstrap_indices(100, 5.0, make_generator(11))
-        assert thr == pytest.approx(abs_corr(values[idx], CiQuery(0, 1)))
+        assert thr == pytest.approx(abs_corr(values[idx]))
 
     def test_quantile_zero_is_minimum(self):
         rng = make_generator(4)
         values = rng.normal(size=(80, 2))
         base = dict(num_replicates=25, expected_block_length=4.0, seed=12)
-        lo = stationary_bootstrap_threshold(values, CiQuery(0, 1), abs_corr, BootstrapConfig(quantile=0.0, **base))
-        hi = stationary_bootstrap_threshold(values, CiQuery(0, 1), abs_corr, BootstrapConfig(quantile=1.0, **base))
-        mid = stationary_bootstrap_threshold(values, CiQuery(0, 1), abs_corr, BootstrapConfig(quantile=0.5, **base))
+        lo = stationary_bootstrap_threshold(values, abs_corr, BootstrapConfig(quantile=0.0, **base))
+        hi = stationary_bootstrap_threshold(values, abs_corr, BootstrapConfig(quantile=1.0, **base))
+        mid = stationary_bootstrap_threshold(values, abs_corr, BootstrapConfig(quantile=0.5, **base))
         assert lo <= mid <= hi
 
     def test_short_sample_rejected(self):
         values = np.zeros((50, 2))
         cfg = BootstrapConfig(expected_block_length=20.0)
         with pytest.raises(ValueError, match="10"):
-            stationary_bootstrap_threshold(values, CiQuery(0, 1), abs_corr, cfg)
+            stationary_bootstrap_threshold(values, abs_corr, cfg)
 
     def test_accepts_data_matrix(self):
         rng = make_generator(5)
         d = DataMatrix(rng.normal(size=(60, 2)))
         cfg = BootstrapConfig(num_replicates=10, expected_block_length=5.0, seed=13)
-        thr_matrix = stationary_bootstrap_threshold(d, CiQuery(0, 1), abs_corr, cfg)
-        thr_array = stationary_bootstrap_threshold(d.values, CiQuery(0, 1), abs_corr, cfg)
+        thr_matrix = stationary_bootstrap_threshold(d, abs_corr, cfg)
+        thr_array = stationary_bootstrap_threshold(d.values, abs_corr, cfg)
         assert thr_matrix == thr_array
 
     def test_deterministic_given_seed(self):
         rng = make_generator(6)
         values = rng.normal(size=(120, 2))
         cfg = BootstrapConfig(num_replicates=40, expected_block_length=6.0, quantile=0.9, seed=21)
-        a = stationary_bootstrap_threshold(values, CiQuery(0, 1), abs_corr, cfg)
-        b = stationary_bootstrap_threshold(values, CiQuery(0, 1), abs_corr, cfg)
+        a = stationary_bootstrap_threshold(values, abs_corr, cfg)
+        b = stationary_bootstrap_threshold(values, abs_corr, cfg)
         assert a == b
 
     def test_null_rejection_rate_near_nominal(self):
@@ -105,10 +104,10 @@ class TestThreshold:
             rng = make_generator(derive_seed(60, b))
             base = rng.normal(size=(500, 2))
             thr = stationary_bootstrap_threshold(
-                base, CiQuery(0, 1), abs_corr, BootstrapConfig(seed=derive_seed(61, b), **cfg_base)
+                base, abs_corr, BootstrapConfig(seed=derive_seed(61, b), **cfg_base)
             )
             for s in range(10):
                 fresh = make_generator(derive_seed(62, b, s)).normal(size=(500, 2))
-                rejections += abs_corr(fresh, CiQuery(0, 1)) > thr
+                rejections += abs_corr(fresh) > thr
         rate = 100.0 * rejections / 400.0
         assert 2.0 <= rate <= 8.0

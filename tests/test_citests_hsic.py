@@ -7,7 +7,6 @@ import pytest
 
 from tspc.citests import (
     BootstrapConfig,
-    CiQuery,
     CiTestError,
     HsicConfig,
     centered_gram,
@@ -15,6 +14,7 @@ from tspc.citests import (
     hsic_ci_test,
     hsic_conditional,
     median_bandwidth,
+    pair_gamma,
     stationary_bootstrap_threshold,
     strided_subset,
 )
@@ -38,12 +38,11 @@ def null_calibrated_gamma(n: int, cal_seed: int, boot_seed: int,
     rng = make_generator(cal_seed)
     cal = np.column_stack([rng.normal(size=n), rng.normal(size=n)])
 
-    def stat(values: np.ndarray, q: CiQuery) -> float:
-        return hsic_conditional(values[:, q.i], values[:, q.j], empty_z(values.shape[0]), HsicConfig())
+    def stat(values: np.ndarray) -> float:
+        return hsic_conditional(values[:, 0], values[:, 1], empty_z(values.shape[0]), HsicConfig())
 
     return stationary_bootstrap_threshold(
         cal,
-        CiQuery(0, 1),
         stat,
         BootstrapConfig(num_replicates=num_replicates, expected_block_length=block,
                         quantile=0.95, seed=boot_seed),
@@ -173,11 +172,10 @@ class TestStatistic:
 
 class TestCiTest:
     def test_exactly_one_calibration_mode(self):
-        with pytest.raises(ValueError):
-            HsicConfig(gamma=0.1, bootstrap=BootstrapConfig())
+        # a fixed gamma is the only threshold policy, so it must be set
         rng = make_generator(36)
         x = rng.normal(size=50)
-        with pytest.raises(ValueError, match="exactly one"):
+        with pytest.raises(ValueError, match="gamma"):
             hsic_ci_test(x, x.copy(), empty_z(50), HsicConfig())
 
     def test_constant_z_decision_matches_empty_z(self):
@@ -243,6 +241,29 @@ class TestCiTest:
         assert detected >= 20  # >= 80% of 25 seeds
 
 
+class TestPairGamma:
+    def test_bootstrap_of_capped_pair_with_clamped_block(self):
+        # 600 rows capped to 150 clamp the block length 20 to 150 / 10 = 15
+        rng = make_generator(derive_seed(81, 0))
+        pair = rng.normal(size=(600, 2))
+        base = dict(num_replicates=20, quantile=0.9, seed=5)
+        gamma = pair_gamma(pair, BootstrapConfig(expected_block_length=20.0, **base),
+                           HsicConfig(max_rows=150))
+
+        def stat(values: np.ndarray) -> float:
+            return hsic_conditional(values[:, 0], values[:, 1], None, HsicConfig())
+
+        reference = stationary_bootstrap_threshold(
+            pair[strided_subset(600, 150)], stat,
+            BootstrapConfig(expected_block_length=15.0, **base),
+        )
+        assert gamma == reference
+
+    def test_needs_two_columns(self):
+        with pytest.raises(ValueError, match="two-column"):
+            pair_gamma(np.zeros((50, 3)), BootstrapConfig(expected_block_length=5.0))
+
+
 class TestDecoupledGamma:
     def _boot(self, seed: int = 0) -> BootstrapConfig:
         return BootstrapConfig(num_replicates=50, expected_block_length=10.0,
@@ -289,6 +310,16 @@ class TestDecoupledGamma:
         capped = decoupled_pair_gamma(arr, self._boot(), HsicConfig(max_rows=200))
         direct = decoupled_pair_gamma(arr[strided_subset(800, 200)], self._boot())
         assert capped == direct
+
+    def test_is_pair_gamma_of_half_rotated_capped_pair(self):
+        rng = make_generator(derive_seed(80, 5))
+        values = rng.normal(size=(500, 3))
+        cfg = HsicConfig(max_rows=120)
+        capped = values[strided_subset(500, 120)]
+        rotated = np.column_stack([capped[:, 0], np.roll(capped[:, 1], 60)])
+        assert decoupled_pair_gamma(values, self._boot(), cfg) == pair_gamma(
+            rotated, self._boot(), cfg
+        )
 
     def test_needs_two_columns(self):
         with pytest.raises(ValueError, match="p >= 2"):

@@ -5,11 +5,16 @@ import json
 import numpy as np
 import pytest
 
+from tspc import cli
+from tspc.citests import BootstrapConfig, decoupled_pair_gamma
 from tspc.cli import main
 from tspc.data import DataMatrix, ingest_csv, write_csv
 from tspc.graphs import RolledGraph, to_json
-from tspc.rng import derive_seed
+from tspc.pc import PcConfig
+from tspc.reproduce import SweepConfig
+from tspc.rng import STREAM_CALIBRATE, STREAM_SUBSAMPLE, derive_seed
 from tspc.simulate import SimConfig, generate
+from tspc.tpc import TpcnsConfig, WindowConfig, tpcns
 
 MOTIF_JSON = to_json(RolledGraph(4, frozenset({(0, 2), (1, 2), (2, 3)})))
 
@@ -153,6 +158,26 @@ class TestDiscover:
         assert texts[0] != texts[1]
         assert all(t.splitlines()[0] == "from,to,fraction" for t in texts)
 
+    def test_tpcns_subsample_starts_use_keyed_stream(self, tmp_path, monkeypatch):
+        data = linvar_csv(tmp_path / "lin.csv")
+        results = []
+
+        def recording_tpcns(values, config):
+            results.append(tpcns(values, config))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "tpcns", recording_tpcns)
+        rc = main([
+            "discover", "--method", "tpcns", "--tau", "2", "--stride", "2",
+            "--subsamples", "5", "--seed", "4", "--in", str(data), "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 0
+        expected = tpcns(ingest_csv(data), TpcnsConfig(
+            num_subsamples=5, pc=PcConfig(), window=WindowConfig(tau=2, r=2),
+            seed=derive_seed(4, STREAM_SUBSAMPLE),
+        ))
+        assert results[0].starts == expected.starts
+
     def test_config_file_replays_run(self, tmp_path):
         data = linvar_csv(tmp_path / "lin.csv")
         first = tmp_path / "first"
@@ -214,6 +239,24 @@ class TestDiscover:
         ])
         assert rc == 0
         assert (out / "graph_edges.csv").read_text().splitlines()[1] == "1,2,undirected"
+
+    def test_hsic_threshold_uses_keyed_calibration_stream(self, tmp_path):
+        rng = np.random.default_rng(1002)
+        src = tmp_path / "pair.csv"
+        write_csv(DataMatrix(rng.normal(size=(200, 2))), src)
+        out = tmp_path / "out"
+        rc = main([
+            "discover", "--method", "pc", "--test", "hsic", "--seed", "4",
+            "--bootstrap-replicates", "20", "--block-length", "10",
+            "--in", str(src), "--out", str(out),
+        ])
+        assert rc == 0
+        expected = decoupled_pair_gamma(ingest_csv(src).values, BootstrapConfig(
+            num_replicates=20, expected_block_length=10.0, quantile=0.95,
+            seed=derive_seed(4, STREAM_CALIBRATE),
+        ))
+        rows = (out / "decisions.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[4] for row in rows} == {repr(expected)}
 
     def test_hsic_leaves_independent_pair_empty(self, tmp_path):
         rng = np.random.default_rng(1001)
@@ -293,6 +336,10 @@ class TestReproduce:
         freq_lines = (out / "frequencies.csv").read_text().splitlines()
         assert freq_lines[1] == "method,paradigm,eta,alpha,from,to,percent"
         assert (out / "config.txt").exists()
+
+    def test_calibration_block_checked_before_any_cell_runs(self):
+        with pytest.raises(ValueError, match="calibration_block"):
+            SweepConfig(paradigm="CTRNN", calibration_block=1.0)
 
     def test_unknown_method_rejected(self, tmp_path, capsys):
         rc = main([

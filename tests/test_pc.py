@@ -261,6 +261,19 @@ class TestSamplePc:
         assert len(result.decisions) >= 3
         assert all(isinstance(d, CiDecision) for d in result.decisions)
 
+    @pytest.mark.parametrize("n,p", [(8, 7), (6, 8)])
+    def test_short_sample_caps_conditioning_size(self, n, p):
+        # alpha 0.6 puts the threshold below zero, so no edge is ever removed
+        # and the search would reach sets of size p - 2 > n - 4
+        result = pc(make_generator(derive_seed(92, n)).normal(size=(n, p)),
+                    PcConfig(gaussian=GaussianCiConfig(alpha=0.6)))
+        assert max(len(d.k) for d in result.decisions) == n - 4
+        assert any("capped at size" in line for line in result.diagnostics)
+
+    def test_fewer_than_four_rows_named(self):
+        with pytest.raises(ValueError, match="at least 4 rows, got 3"):
+            pc(make_generator(93).normal(size=(3, 4)), PcConfig(gaussian=GaussianCiConfig(alpha=0.05)))
+
     def test_hsic_backend_requires_threshold_policy(self):
         rng = make_generator(91)
         with pytest.raises(ValueError):

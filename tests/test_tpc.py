@@ -14,6 +14,7 @@ from tspc.simulate import SimConfig, generate, ground_truth
 from tspc.tpc import (
     TpcnsConfig,
     WindowConfig,
+    calibration_rows,
     forward_time,
     frequencies_to_csv,
     tpc,
@@ -99,6 +100,20 @@ class TestUnroll:
                 unroll(data, WindowConfig(tau=tau, r=r))
         else:
             assert unroll(data, WindowConfig(tau=tau, r=r)).n == count
+
+
+class TestCalibrationRows:
+    @pytest.mark.parametrize("method", ["pc", "tpcs", "tpcns"])
+    def test_rows_each_family_searches(self, method):
+        data = linvar(derive_seed(101, 0), n=200)
+        window = WindowConfig(tau=2, r=2)
+        unrolled = unroll(data, window).values
+        expected = {"pc": data.values, "tpcs": unrolled, "tpcns": unrolled[:30]}[method]
+        assert np.array_equal(calibration_rows(data, method, window, 30), expected)
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="method"):
+            calibration_rows(linvar(derive_seed(101, 1), n=20), "TPCS", WindowConfig(), 5)
 
 
 class TestTpc:
@@ -236,6 +251,18 @@ class TestTpcns:
         assert (0, 2) in res.graph.edges
         # the frequency map still reports the filtered edge
         assert res.frequencies[(2, 3)] == 1.0
+
+    def test_short_window_on_wide_data_caps_conditioning(self):
+        # 8 unrolled columns on 6-row subsamples: Fisher-z at level alpha can
+        # test sets of at most 6 - 4 = 2, and alpha 0.6 never removes an edge
+        data = linvar(derive_seed(100, 6), n=100)
+        cfg = TpcnsConfig(
+            window_length=6, num_subsamples=3, freq_cutoff=0.5,
+            pc=PcConfig(gaussian=GaussianCiConfig(alpha=0.6)),
+            window=WindowConfig(tau=2, r=2), seed=23,
+        )
+        res = tpcns(data, cfg)
+        assert res.frequencies and all(f == 1.0 for f in res.frequencies.values())
 
     def test_window_longer_than_series_rejected(self):
         data = linvar(derive_seed(100, 5), n=60)
