@@ -8,9 +8,10 @@ z, the value is
     Tr[ R_(y,z) R_(x,z) - 2 R_(y,z) R_(x,z) R_z + R_(y,z) R_z R_(x,z) R_z ],
 
 which tends to zero exactly under conditional independence as the sample
-grows and the regularizer eps_n = n^(-eps_exponent) decays.  An empty
-conditioning set drops the R_z terms (R_z is the zero map) and the value
-reduces to the unconditional dependence criterion Tr[R_y R_x].
+grows and the regularizer eps_n = n^(-1/4) decays.  Each block's kernel
+bandwidth is its median pairwise distance.  An empty conditioning set drops
+the R_z terms (R_z is the zero map) and the value reduces to the
+unconditional dependence criterion Tr[R_y R_x].
 """
 
 from __future__ import annotations
@@ -34,30 +35,24 @@ __all__ = [
     "decoupled_pair_gamma",
 ]
 
+# The regularizer is eps_n = n^(-_EPS_EXPONENT).  Consistency of the statistic
+# needs eps_n -> 0 and n eps_n^3 -> infinity, that is an exponent in (0, 1/3).
+_EPS_EXPONENT = 0.25
+
 
 @dataclass(frozen=True)
 class HsicConfig:
-    """Kernel bandwidth rule, regularizer decay, and fixed threshold.
+    """Fixed threshold and row cap of the kernel test.
 
-    bandwidth is the string "median" (per-block median pairwise distance) or
-    a fixed positive real.  hsic_ci_test compares the statistic against
-    gamma, which it requires; the raw statistic ignores it.  max_rows, when
-    set, caps the rows a single test sees by taking an evenly strided subset.
+    hsic_ci_test compares the statistic against gamma, which it requires.
+    max_rows, when set, caps the rows a single test (or a calibration pair)
+    sees by taking an evenly strided subset.
     """
 
-    bandwidth: float | str = "median"
-    eps_exponent: float = 0.25
     gamma: float | None = None
     max_rows: int | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.bandwidth, str):
-            if self.bandwidth != "median":
-                raise ValueError(f"bandwidth rule must be 'median' or a positive real, got {self.bandwidth!r}")
-        elif not self.bandwidth > 0.0:
-            raise ValueError(f"fixed bandwidth must be positive, got {self.bandwidth}")
-        if not 0.0 < self.eps_exponent < 1.0 / 3.0:
-            raise ValueError(f"eps_exponent must lie in (0, 1/3), got {self.eps_exponent}")
         if self.gamma is not None and not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.max_rows is not None and self.max_rows < 4:
@@ -108,17 +103,17 @@ def centered_gram(samples: np.ndarray, bandwidth: float | str = "median") -> np.
     return gram - row - col + grand
 
 
-def _guarded_gram(arr: np.ndarray, bandwidth: float | str) -> np.ndarray:
-    """centered_gram, except a zero-spread block gets unit bandwidth.
+def _guarded_gram(arr: np.ndarray) -> np.ndarray:
+    """centered_gram at the median bandwidth, zero for a zero-spread block.
 
     A block whose rows are all identical has median distance zero; any
     positive bandwidth then gives the all-ones kernel, which centers to the
-    zero matrix.  Substituting h=1 realizes that limit instead of failing,
-    so a constant conditioning block behaves exactly like no conditioning.
+    zero matrix.  Returning that limit instead of failing makes a constant
+    conditioning block behave exactly like no conditioning.
     """
-    if isinstance(bandwidth, str) and median_bandwidth(arr) == 0.0:
+    if median_bandwidth(arr) == 0.0:
         return np.zeros((arr.shape[0], arr.shape[0]))
-    return centered_gram(arr, bandwidth)
+    return centered_gram(arr)
 
 
 def _resolvent(gram: np.ndarray, reg: float) -> np.ndarray:
@@ -142,13 +137,12 @@ def hsic_conditional(
     x: np.ndarray,
     y: np.ndarray,
     z: np.ndarray | None,
-    config: HsicConfig = HsicConfig(),
 ) -> float:
     """The conditional-dependence statistic for x against y given z.
 
     x and y are single columns; z is a column block or None/empty.  The
-    augmented blocks (x, z) and (y, z) each pick their own bandwidth.  The
-    value is nonnegative up to rounding of order 1e-8 and is exactly
+    augmented blocks (x, z) and (y, z) each pick their own median bandwidth.
+    The value is nonnegative up to rounding of order 1e-8 and is exactly
     symmetric in x and y.
     """
     xa = _as_block(x)
@@ -170,13 +164,13 @@ def hsic_conditional(
         elif za.shape[0] != n:
             raise ValueError(f"x has {n} rows but z has {za.shape[0]}")
 
-    reg = n * n ** (-config.eps_exponent)
+    reg = n * n ** (-_EPS_EXPONENT)
     if za is None:
-        gx = _guarded_gram(xa, config.bandwidth)
-        gy = _guarded_gram(ya, config.bandwidth)
+        gx = _guarded_gram(xa)
+        gy = _guarded_gram(ya)
     else:
-        gx = _guarded_gram(np.hstack([xa, za]), config.bandwidth)
-        gy = _guarded_gram(np.hstack([ya, za]), config.bandwidth)
+        gx = _guarded_gram(np.hstack([xa, za]))
+        gy = _guarded_gram(np.hstack([ya, za]))
     rx = _resolvent(gx, reg)
     ry = _resolvent(gy, reg)
 
@@ -187,7 +181,7 @@ def hsic_conditional(
     term1 = trace_prod(ry, rx)
     if za is None:
         return term1
-    gz = _guarded_gram(za, config.bandwidth)
+    gz = _guarded_gram(za)
     rz = _resolvent(gz, reg)
     ryx = ry @ rx
     term2 = trace_prod(ryx, rz)
@@ -233,7 +227,7 @@ def pair_gamma(
         boot = replace(boot, expected_block_length=block)
 
     def stat(resampled: np.ndarray) -> float:
-        return hsic_conditional(resampled[:, 0], resampled[:, 1], None, config)
+        return hsic_conditional(resampled[:, 0], resampled[:, 1], None)
 
     return stationary_bootstrap_threshold(arr, stat, boot)
 
@@ -284,4 +278,4 @@ def hsic_ci_test(
         xa = xa[idx]
         ya = ya[idx]
         za = za[idx] if za is not None else None
-    return CiOutcome.decide(hsic_conditional(xa, ya, za, config), config.gamma)
+    return CiOutcome.decide(hsic_conditional(xa, ya, za), config.gamma)

@@ -281,7 +281,7 @@ def _discover_pc_config(
     try:
         if args.test == "gaussian":
             alpha = args.alpha if args.gamma is None else None
-            ci_config = {"gaussian": GaussianCiConfig(alpha=alpha, gamma=args.gamma)}
+            test = GaussianCiConfig(alpha=alpha, gamma=args.gamma)
         elif args.test == "hsic":
             gamma = args.gamma
             if gamma is None:
@@ -299,16 +299,13 @@ def _discover_pc_config(
                     ),
                     HsicConfig(max_rows=args.max_rows),
                 )
-            ci_config = {"hsic": HsicConfig(gamma=gamma, max_rows=args.max_rows)}
+            test = HsicConfig(gamma=gamma, max_rows=args.max_rows)
         else:
             if args.truth is None:
                 raise CliError("the oracle test requires --truth")
             unrolled_p = data.p if args.method == "pc" else data.p * args.tau
-            ci_config = {"truth": _load_truth_dag(args.truth, unrolled_p)}
-        return PcConfig(
-            backend=args.test, max_cond_size=args.max_cond_size, stable=args.stable,
-            **ci_config,
-        )
+            test = _load_truth_dag(args.truth, unrolled_p)
+        return PcConfig(test, max_cond_size=args.max_cond_size, stable=args.stable)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -337,34 +334,37 @@ def _run_discover(args: argparse.Namespace) -> None:
         result = pc(data, pc_cfg)
         _emit_graph(out, "graph", result.pdag, formats)
         write_text_atomic(out / "decisions.csv", decisions_to_csv(result.decisions))
-        for line in result.diagnostics:
-            print(f"note: {line}", file=sys.stderr)
-        print(f"wrote {out / 'graph.json' if 'json' in formats else out} "
-              f"({len(result.pdag.directed)} directed, "
-              f"{len(result.pdag.undirected)} undirected)")
-        return
-    if args.method == "tpcs":
+        diagnostics = result.diagnostics
+        summary = (f"wrote {out / 'graph.json' if 'json' in formats else out} "
+                   f"({len(result.pdag.directed)} directed, "
+                   f"{len(result.pdag.undirected)} undirected)")
+    elif args.method == "tpcs":
         result = tpc(data, window, pc_cfg)
         _emit_graph(out, "graph", result.unrolled, formats)
         _emit_graph(out, "rolled", result.rolled, formats)
         write_text_atomic(out / "decisions.csv", decisions_to_csv(result.pc.decisions))
-        print(f"wrote rolled graph with {len(result.rolled.edges)} edges to {out}")
-        return
-    try:
-        tcfg = TpcnsConfig(
-            window_length=args.L,
-            num_subsamples=args.subsamples,
-            freq_cutoff=args.cutoff,
-            pc=pc_cfg,
-            window=window,
-            seed=derive_seed(args.seed, STREAM_SUBSAMPLE),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    result = tpcns(data, tcfg)
-    _emit_graph(out, "graph", result.graph, formats)
-    write_text_atomic(out / "frequencies.csv", frequencies_to_csv(result.frequencies))
-    print(f"wrote rolled graph with {len(result.graph.edges)} edges to {out}")
+        diagnostics = result.pc.diagnostics
+        summary = f"wrote rolled graph with {len(result.rolled.edges)} edges to {out}"
+    else:
+        try:
+            tcfg = TpcnsConfig(
+                window_length=args.L,
+                num_subsamples=args.subsamples,
+                freq_cutoff=args.cutoff,
+                pc=pc_cfg,
+                window=window,
+                seed=derive_seed(args.seed, STREAM_SUBSAMPLE),
+            )
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
+        result = tpcns(data, tcfg)
+        _emit_graph(out, "graph", result.graph, formats)
+        write_text_atomic(out / "frequencies.csv", frequencies_to_csv(result.frequencies))
+        diagnostics = result.diagnostics
+        summary = f"wrote rolled graph with {len(result.graph.edges)} edges to {out}"
+    for line in diagnostics:
+        print(f"note: {line}", file=sys.stderr)
+    print(summary)
 
 
 def _run_evaluate(args: argparse.Namespace) -> None:

@@ -38,7 +38,6 @@ from .data import DataMatrix
 from .graphs import Dag, Pdag, Skeleton, d_separated, meek_closure
 
 __all__ = [
-    "BACKENDS",
     "CiDecision",
     "CiQueryError",
     "PcConfig",
@@ -52,8 +51,6 @@ __all__ = [
     "population_pc",
     "sepset_key",
 ]
-
-BACKENDS = ("gaussian", "hsic", "oracle")
 
 # Separating sets are keyed by the unordered pair, stored as (min, max).
 SepSets = dict[tuple[int, int], tuple[int, ...]]
@@ -88,30 +85,34 @@ class CiDecision:
 
 @dataclass(frozen=True)
 class PcConfig:
-    """Backend selection and search policy.
+    """The conditional-independence test and the search policy.
+
+    test is the one CI test of the search, picked by its type: a
+    GaussianCiConfig runs Fisher-z on the sample covariance, an HsicConfig
+    runs the kernel test against its fixed gamma, and a Dag answers from
+    the d-separation facts of that known graph (the population oracle).
 
     max_cond_size None means the default cap p - 2 (every size a pool can
-    reach).  The Gaussian backend at level alpha further caps it at n - 4,
-    the largest size its threshold is defined for.  node_order permutes the
-    visit order of both pair enumeration and subset enumeration; identity
-    when None.  stable snapshots each node's neighbourhood at the start of a
-    level so deletions within the level cannot influence later conditioning
-    pools.
+    reach).  Fisher-z at level alpha further caps it at n - 4, the largest
+    size its threshold is defined for.  node_order permutes the visit order
+    of both pair enumeration and subset enumeration; identity when None.
+    stable snapshots each node's neighbourhood at the start of a level so
+    deletions within the level cannot influence later conditioning pools.
     """
 
-    backend: str = "gaussian"
-    gaussian: GaussianCiConfig | None = None
-    hsic: HsicConfig | None = None
-    truth: Dag | None = None
+    test: GaussianCiConfig | HsicConfig | Dag = GaussianCiConfig(alpha=0.05)
     max_cond_size: int | None = None
     node_order: tuple[int, ...] | None = None
     stable: bool = False
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.backend == "oracle" and self.truth is None:
-            raise ValueError("oracle backend requires truth")
+        if not isinstance(self.test, (GaussianCiConfig, HsicConfig, Dag)):
+            raise TypeError(
+                "test must be a GaussianCiConfig, HsicConfig or Dag, "
+                f"got {type(self.test).__name__}"
+            )
+        if isinstance(self.test, HsicConfig) and self.test.gamma is None:
+            raise ValueError("the kernel test needs a fixed threshold: set HsicConfig.gamma")
         if self.max_cond_size is not None and self.max_cond_size < 0:
             raise ValueError(f"max_cond_size must be nonnegative, got {self.max_cond_size}")
         if self.node_order is not None:
@@ -264,30 +265,24 @@ def oracle_ci(truth: Dag) -> Callable[[CiQuery], CiOutcome]:
     return ci
 
 
-def _gaussian_config(config: PcConfig) -> GaussianCiConfig:
-    return config.gaussian if config.gaussian is not None else GaussianCiConfig(alpha=0.05)
-
-
-def _make_ci(values: np.ndarray, config: PcConfig) -> Callable[[CiQuery], CiOutcome]:
-    if config.backend == "gaussian":
-        gcfg = _gaussian_config(config)
+def _make_ci(
+    values: np.ndarray, test: GaussianCiConfig | HsicConfig | Dag
+) -> Callable[[CiQuery], CiOutcome]:
+    if isinstance(test, GaussianCiConfig):
         cov = sample_covariance(values)
 
         def ci(query: CiQuery) -> CiOutcome:
-            return gaussian_ci_test(cov, query, gcfg)
+            return gaussian_ci_test(cov, query, test)
 
         return ci
-    if config.backend == "hsic":
-        if config.hsic is None:
-            raise ValueError("hsic backend requires an HsicConfig with a threshold policy")
-        hcfg = config.hsic
+    if isinstance(test, HsicConfig):
 
         def ci(query: CiQuery) -> CiOutcome:
             z = values[:, list(query.k)] if query.k else None
-            return hsic_ci_test(values[:, query.i], values[:, query.j], z, hcfg)
+            return hsic_ci_test(values[:, query.i], values[:, query.j], z, test)
 
         return ci
-    return oracle_ci(config.truth)
+    return oracle_ci(test)
 
 
 def pc(data: DataMatrix | np.ndarray, config: PcConfig = PcConfig()) -> PcResult:
@@ -297,7 +292,7 @@ def pc(data: DataMatrix | np.ndarray, config: PcConfig = PcConfig()) -> PcResult
         raise ValueError(f"data must be two-dimensional, got shape {values.shape}")
     n, p = values.shape
     search = config
-    if config.backend == "gaussian" and _gaussian_config(config).alpha is not None:
+    if isinstance(config.test, GaussianCiConfig) and config.test.alpha is not None:
         # The alpha-mode threshold needs n - |k| - 3 > 0, so larger
         # conditioning sets cannot be tested on this sample.
         if n < 4:
@@ -305,7 +300,7 @@ def pc(data: DataMatrix | np.ndarray, config: PcConfig = PcConfig()) -> PcResult
         reachable = config.max_cond_size if config.max_cond_size is not None else max(p - 2, 0)
         if reachable > n - 4:
             search = replace(config, max_cond_size=n - 4)
-    ci = _make_ci(values, config)
+    ci = _make_ci(values, config.test)
     log: list[CiDecision] = []
     skeleton, seps = find_skeleton(ci, p, search, log)
     diagnostics: list[str] = []
@@ -334,8 +329,7 @@ def population_pc(
     summary of the truth, which is what the sample version converges to.
     """
     config = PcConfig(
-        backend="oracle",
-        truth=truth,
+        truth,
         max_cond_size=max_cond_size,
         node_order=node_order,
         stable=stable,

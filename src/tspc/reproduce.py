@@ -148,12 +148,9 @@ def _estimate(
             seed=derive_seed(*rep_key, midx, STREAM_CALIBRATE),
         )
         gamma = pair_gamma(rows[:, :2], boot, HsicConfig(max_rows=cfg.hsic_max_rows))
-        pc_cfg = PcConfig(
-            backend="hsic",
-            hsic=HsicConfig(gamma=gamma, max_rows=cfg.hsic_max_rows),
-        )
+        pc_cfg = PcConfig(HsicConfig(gamma=gamma, max_rows=cfg.hsic_max_rows))
     else:
-        pc_cfg = PcConfig(backend="gaussian", gaussian=GaussianCiConfig(alpha=alpha))
+        pc_cfg = PcConfig(GaussianCiConfig(alpha=alpha))
 
     if family == "pc":
         result = pc(data, pc_cfg)

@@ -15,7 +15,7 @@ mixing, which is the regime long dependent series live in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -132,8 +132,7 @@ class TpcnsConfig:
 
     num_subsamples stretches of window_length unrolled rows are drawn with
     replacement (uniform starts), each is searched independently, and edges
-    whose occurrence fraction reaches freq_cutoff survive.  edge_filter, when
-    set, is an extra predicate on (edge, fraction) applied to survivors.
+    whose occurrence fraction reaches freq_cutoff survive.
     """
 
     window_length: int = 50
@@ -142,7 +141,6 @@ class TpcnsConfig:
     pc: PcConfig = field(default_factory=PcConfig)
     window: WindowConfig = field(default_factory=WindowConfig)
     seed: int = 0
-    edge_filter: Callable[[tuple[int, int], float], bool] | None = None
 
     def __post_init__(self) -> None:
         if self.window_length < 2:
@@ -155,9 +153,16 @@ class TpcnsConfig:
 
 @dataclass(frozen=True)
 class TpcnsResult:
+    """The voted graph, per-edge fractions, subsample starts, and notes.
+
+    diagnostics holds each distinct search diagnostic once, in first-seen
+    order, prefixed with how many subsamples reported it.
+    """
+
     graph: RolledGraph
     frequencies: dict[tuple[int, int], float]
     starts: tuple[int, ...]
+    diagnostics: tuple[str, ...]
 
 
 def tpcns(data: DataMatrix, config: TpcnsConfig) -> TpcnsResult:
@@ -166,8 +171,7 @@ def tpcns(data: DataMatrix, config: TpcnsConfig) -> TpcnsResult:
     Per subsample the oriented result is coerced forward in time, rolled,
     and its edges counted.  The frequency map holds every edge seen at least
     once with its occurrence fraction; the returned graph keeps those at or
-    above the cutoff (and passing the filter, if any).  Deterministic given
-    the seed.
+    above the cutoff.  Deterministic given the seed.
     """
     p = data.p
     chi = unroll(data, config.window)
@@ -179,21 +183,26 @@ def tpcns(data: DataMatrix, config: TpcnsConfig) -> TpcnsResult:
     rng = make_generator(config.seed)
     starts = rng.integers(0, chi.n - config.window_length + 1, size=config.num_subsamples)
     counts: dict[tuple[int, int], int] = {}
+    notes: dict[str, int] = {}
     for start in starts:
         segment = chi.values[start:start + config.window_length]
         result = pc(segment, config.pc)
         rolled = roll(forward_time(result.pdag, p), p, config.window.tau)
         for edge in rolled.edges:
             counts[edge] = counts.get(edge, 0) + 1
+        for line in dict.fromkeys(result.diagnostics):
+            notes[line] = notes.get(line, 0) + 1
 
     frequencies = {e: c / config.num_subsamples for e, c in counts.items()}
     kept = {e for e, f in frequencies.items() if f >= config.freq_cutoff}
-    if config.edge_filter is not None:
-        kept = {e for e in kept if config.edge_filter(e, frequencies[e])}
     return TpcnsResult(
         RolledGraph(p, frozenset(kept)),
         frequencies,
         tuple(int(s) for s in starts),
+        tuple(
+            f"{c} of {config.num_subsamples} subsamples: {line}"
+            for line, c in notes.items()
+        ),
     )
 
 

@@ -219,7 +219,7 @@ def test_criterion_8_error_and_correlation_decay(verdict):
     # half the smallest nonzero population threshold keeps the fixed-gamma
     # search consistent while leaving finite-sample room to fail
     c = 0.43350736324528266
-    config = PcConfig(backend="gaussian", gaussian=GaussianCiConfig(gamma=c / 2))
+    config = PcConfig(GaussianCiConfig(gamma=c / 2))
     window = WindowConfig(tau=2, r=2)
     ns = (250, 1000, 4000)
 

@@ -39,7 +39,7 @@ def null_calibrated_gamma(n: int, cal_seed: int, boot_seed: int,
     cal = np.column_stack([rng.normal(size=n), rng.normal(size=n)])
 
     def stat(values: np.ndarray) -> float:
-        return hsic_conditional(values[:, 0], values[:, 1], empty_z(values.shape[0]), HsicConfig())
+        return hsic_conditional(values[:, 0], values[:, 1], empty_z(values.shape[0]))
 
     return stationary_bootstrap_threshold(
         cal,
@@ -47,21 +47,6 @@ def null_calibrated_gamma(n: int, cal_seed: int, boot_seed: int,
         BootstrapConfig(num_replicates=num_replicates, expected_block_length=block,
                         quantile=0.95, seed=boot_seed),
     )
-
-
-class TestConfig:
-    def test_eps_exponent_bounds(self):
-        with pytest.raises(ValueError):
-            HsicConfig(eps_exponent=0.34)
-        with pytest.raises(ValueError):
-            HsicConfig(eps_exponent=0.0)
-        HsicConfig(eps_exponent=0.25)
-
-    def test_bad_bandwidth_rule(self):
-        with pytest.raises(ValueError):
-            HsicConfig(bandwidth="mean")
-        with pytest.raises(ValueError):
-            HsicConfig(bandwidth=-1.0)
 
 
 class TestCenteredGram:
@@ -112,16 +97,15 @@ class TestStridedSubset:
 class TestStatistic:
     def test_needs_four_rows(self):
         with pytest.raises(ValueError, match="at least 4"):
-            hsic_conditional(np.zeros(3), np.zeros(3), empty_z(3), HsicConfig())
+            hsic_conditional(np.zeros(3), np.zeros(3), empty_z(3))
 
     def test_symmetric_in_x_and_y(self):
         rng = make_generator(32)
         x = rng.normal(size=60)
         y = rng.normal(size=60) + 0.5 * x
         z = rng.normal(size=(60, 1))
-        cfg = HsicConfig()
-        assert hsic_conditional(x, y, z, cfg) == pytest.approx(
-            hsic_conditional(y, x, z, cfg), abs=1e-12
+        assert hsic_conditional(x, y, z) == pytest.approx(
+            hsic_conditional(y, x, z), abs=1e-12
         )
 
     def test_never_meaningfully_negative(self):
@@ -130,15 +114,14 @@ class TestStatistic:
             x = rng.normal(size=50)
             y = rng.normal(size=50)
             z = rng.normal(size=(50, 1))
-            assert hsic_conditional(x, y, z, HsicConfig()) >= -1e-8
+            assert hsic_conditional(x, y, z) >= -1e-8
 
     def test_identical_pair_dwarfs_independent_pair(self):
         rng = make_generator(34)
         x = rng.normal(size=200)
         y = rng.normal(size=200)
-        cfg = HsicConfig()
-        dependent = hsic_conditional(x, x.copy(), empty_z(200), cfg)
-        independent = hsic_conditional(x, y, empty_z(200), cfg)
+        dependent = hsic_conditional(x, x.copy(), empty_z(200))
+        independent = hsic_conditional(x, y, empty_z(200))
         assert dependent > 10.0 * independent
 
     def test_median_statistic_decays_with_n(self):
@@ -154,7 +137,7 @@ class TestStatistic:
                 rng = make_generator(derive_seed(58, n, seed))
                 x = rng.normal(size=n)
                 y = rng.normal(size=n)
-                vals.append(hsic_conditional(x, y, empty_z(n), HsicConfig()))
+                vals.append(hsic_conditional(x, y, empty_z(n)))
             medians.append(float(np.median(vals)))
         assert medians[0] > medians[1] > medians[2]
 
@@ -164,9 +147,8 @@ class TestStatistic:
         rng = make_generator(35)
         x = rng.normal(size=80)
         y = rng.normal(size=80) + x
-        cfg = HsicConfig()
-        with_const = hsic_conditional(x, y, np.ones((80, 1)), cfg)
-        without = hsic_conditional(x, y, empty_z(80), cfg)
+        with_const = hsic_conditional(x, y, np.ones((80, 1)))
+        without = hsic_conditional(x, y, empty_z(80))
         assert with_const == pytest.approx(without, abs=1e-12)
 
 
@@ -251,7 +233,7 @@ class TestPairGamma:
                            HsicConfig(max_rows=150))
 
         def stat(values: np.ndarray) -> float:
-            return hsic_conditional(values[:, 0], values[:, 1], None, HsicConfig())
+            return hsic_conditional(values[:, 0], values[:, 1], None)
 
         reference = stationary_bootstrap_threshold(
             pair[strided_subset(600, 150)], stat,

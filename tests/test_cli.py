@@ -131,6 +131,24 @@ class TestDiscover:
         assert record["type"] == "CiQueryError"
         assert "degenerate" in record["message"]
 
+    @pytest.mark.parametrize("method,flags,note", [
+        ("tpcs", [], "note: conditioning sets capped at size 3"),
+        ("tpcns", ["--L", "6", "--subsamples", "3"],
+         "note: 3 of 3 subsamples: conditioning sets capped at size 2"),
+    ])
+    def test_windowed_methods_print_search_notes(self, tmp_path, capsys, method, flags, note):
+        # 8 rows unroll to 7 at tau 2, stride 1; alpha 0.6 never removes an
+        # edge, so the Fisher-z size cap stops every search
+        src = tmp_path / "short.csv"
+        write_csv(DataMatrix(np.random.default_rng(1003).normal(size=(8, 4))), src)
+        rc = main([
+            "discover", "--method", method, "--tau", "2", "--stride", "1",
+            "--alpha", "0.6", *flags, "--in", str(src), "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert err.splitlines()[0].startswith(note)
+
     def test_tpcs_emits_unrolled_and_rolled(self, tmp_path):
         data = linvar_csv(tmp_path / "lin.csv")
         out = tmp_path / "o"

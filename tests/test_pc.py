@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tspc.citests import CiOutcome, CiQuery, CiTestError, GaussianCiConfig
+from tspc.citests import CiOutcome, CiQuery, CiTestError, GaussianCiConfig, HsicConfig
 from tspc.graphs import Dag, Pdag, Skeleton, cpdag_of, d_separated, roll
 from tspc.pc import (
     CiDecision,
@@ -26,19 +26,18 @@ from tspc.pc import (
 from tspc.rng import derive_seed, make_generator
 from tspc.simulate import SimConfig, generate
 
-from .oracles import random_dag
+from .oracles import random_dag, sem_covariance
 
 MOTIF = Dag(4, frozenset({(0, 2), (1, 2), (2, 3)}))
 
 
 class TestConfig:
     def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            PcConfig(backend="tarot")
+        with pytest.raises(TypeError, match="GaussianCiConfig, HsicConfig or Dag"):
+            PcConfig("tarot")
 
-    def test_oracle_needs_truth(self):
-        with pytest.raises(ValueError, match="truth"):
-            PcConfig(backend="oracle")
+    def test_default_is_fisher_z_at_alpha_005(self):
+        assert PcConfig().test == GaussianCiConfig(alpha=0.05)
 
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError):
@@ -215,7 +214,7 @@ class TestSamplePc:
             data = generate(
                 SimConfig(paradigm="ContemporaneousVARMA", eta=1.0, n=1000, seed=derive_seed(0, rep))
             )
-            result = pc(data, PcConfig(backend="gaussian", gaussian=GaussianCiConfig(alpha=0.05)))
+            result = pc(data, PcConfig(GaussianCiConfig(alpha=0.05)))
             rolled = roll(result.pdag, 4, 1).edges
             hits_02 += (0, 2) in rolled
             hits_12 += (1, 2) in rolled
@@ -229,7 +228,7 @@ class TestSamplePc:
             data = generate(
                 SimConfig(paradigm="LinearGaussianVAR", eta=1.0, n=1000, seed=derive_seed(0, rep))
             )
-            g = pc(data, PcConfig(backend="gaussian", gaussian=GaussianCiConfig(alpha=0.01))).pdag
+            g = pc(data, PcConfig(GaussianCiConfig(alpha=0.01))).pdag
             sparse += (len(g.directed) + len(g.undirected)) <= 1
         assert sparse >= 23  # >= 90% of 25
 
@@ -248,7 +247,7 @@ class TestSamplePc:
                 z = y + rng.normal(size=n)
                 g = pc(
                     np.column_stack([x, y, z]),
-                    PcConfig(backend="gaussian", gaussian=GaussianCiConfig(gamma=gamma)),
+                    PcConfig(GaussianCiConfig(gamma=gamma)),
                 ).pdag
                 errors += g != chain_target
             rates.append(errors / 100.0)
@@ -257,7 +256,7 @@ class TestSamplePc:
 
     def test_decisions_logged_with_pc(self):
         rng = make_generator(90)
-        result = pc(rng.normal(size=(200, 3)), PcConfig(gaussian=GaussianCiConfig(alpha=0.05)))
+        result = pc(rng.normal(size=(200, 3)), PcConfig(GaussianCiConfig(alpha=0.05)))
         assert len(result.decisions) >= 3
         assert all(isinstance(d, CiDecision) for d in result.decisions)
 
@@ -266,18 +265,32 @@ class TestSamplePc:
         # alpha 0.6 puts the threshold below zero, so no edge is ever removed
         # and the search would reach sets of size p - 2 > n - 4
         result = pc(make_generator(derive_seed(92, n)).normal(size=(n, p)),
-                    PcConfig(gaussian=GaussianCiConfig(alpha=0.6)))
+                    PcConfig(GaussianCiConfig(alpha=0.6)))
         assert max(len(d.k) for d in result.decisions) == n - 4
         assert any("capped at size" in line for line in result.diagnostics)
 
     def test_fewer_than_four_rows_named(self):
         with pytest.raises(ValueError, match="at least 4 rows, got 3"):
-            pc(make_generator(93).normal(size=(3, 4)), PcConfig(gaussian=GaussianCiConfig(alpha=0.05)))
+            pc(make_generator(93).normal(size=(3, 4)), PcConfig(GaussianCiConfig(alpha=0.05)))
 
     def test_hsic_backend_requires_threshold_policy(self):
-        rng = make_generator(91)
-        with pytest.raises(ValueError):
-            pc(rng.normal(size=(50, 3)), PcConfig(backend="hsic"))
+        # rejected when the config is built, before any query runs
+        with pytest.raises(ValueError, match="HsicConfig.gamma"):
+            PcConfig(HsicConfig())
+        PcConfig(HsicConfig(gamma=0.1))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10**6))
+    def test_stable_skeleton_ignores_node_order(self, seed):
+        # PC-stable fixes every pool at the start of a level, so the sample
+        # skeleton cannot depend on the visit order; without stable it can
+        rng = make_generator(derive_seed(9700, seed))
+        p = int(rng.integers(4, 8))
+        cov = sem_covariance(random_dag(rng, p, 0.4), rng)
+        values = rng.normal(size=(100, p)) @ np.linalg.cholesky(cov).T
+        order = tuple(int(v) for v in rng.permutation(p))
+        base = pc(values, PcConfig(stable=True)).skeleton
+        assert pc(values, PcConfig(node_order=order, stable=True)).skeleton == base
 
 
 class TestDecisionCsv:

@@ -1,5 +1,8 @@
 """Windowed search on time series: unroll, tpc, forward_time, tpcns."""
 
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from tspc.citests import GaussianCiConfig
 from tspc.data import DataMatrix
 from tspc.evaluate import confusion, metrics
-from tspc.graphs import Pdag, RolledGraph, cpdag_of, roll
+from tspc.graphs import Pdag, RolledGraph, cpdag_of, roll, unrolled_time
 from tspc.pc import CiQueryError, PcConfig
 from tspc.rng import derive_seed, make_generator
 from tspc.simulate import SimConfig, generate, ground_truth
@@ -24,7 +27,7 @@ from tspc.tpc import (
 
 from .oracles import random_dag
 
-GAUSSIAN = PcConfig(backend="gaussian", gaussian=GaussianCiConfig(alpha=0.05))
+GAUSSIAN = PcConfig(GaussianCiConfig(alpha=0.05))
 
 
 def linvar(seed: int, n: int = 1000) -> DataMatrix:
@@ -146,7 +149,7 @@ class TestTpc:
         res = tpc(
             data,
             WindowConfig(tau=tau, r=2),
-            PcConfig(backend="oracle", truth=truth),
+            PcConfig(truth),
         )
         assert res.rolled == roll(cpdag_of(truth), p, tau)
 
@@ -177,9 +180,34 @@ class TestForwardTime:
         once = forward_time(g, 2)
         assert forward_time(once, 2) == once
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 3),
+        tau=st.integers(1, 3),
+        marks=st.lists(st.integers(0, 3), min_size=36, max_size=36),
+    )
+    def test_forward_backward_free_skeleton_kept_idempotent(self, p, tau, marks):
+        # one mark per node pair: 0 absent, 1 u->v, 2 v->u, 3 undirected
+        nodes = p * tau
+        pairs = [(u, v) for u in range(nodes) for v in range(u + 1, nodes)]
+        directed = set()
+        undirected = set()
+        for (u, v), mark in zip(pairs, marks):
+            if mark == 1:
+                directed.add((u, v))
+            elif mark == 2:
+                directed.add((v, u))
+            elif mark == 3:
+                undirected.add((u, v))
+        g = Pdag(nodes, frozenset(directed), frozenset(undirected))
+        out = forward_time(g, p)
+        assert all(unrolled_time(u, p) <= unrolled_time(v, p) for u, v in out.directed)
+        assert out.skeleton() == g.skeleton()
+        assert forward_time(out, p) == out
+
 
 class TestTpcns:
-    def config(self, cutoff: float, seed: int, **kw) -> TpcnsConfig:
+    def config(self, cutoff: float, seed: int) -> TpcnsConfig:
         return TpcnsConfig(
             window_length=50,
             num_subsamples=50,
@@ -187,7 +215,6 @@ class TestTpcns:
             pc=GAUSSIAN,
             window=WindowConfig(tau=2, r=2),
             seed=seed,
-            **kw,
         )
 
     def test_rejects_bad_parameters(self):
@@ -243,26 +270,36 @@ class TestTpcns:
         assert a.frequencies == b.frequencies
         assert a.starts == b.starts
 
-    def test_edge_filter_prunes_survivors(self):
-        data = linvar(derive_seed(100, 0))
-        drop = lambda edge, fraction: edge != (2, 3)
-        res = tpcns(data, self.config(0.4, seed=derive_seed(200, 0), edge_filter=drop))
-        assert (2, 3) not in res.graph.edges
-        assert (0, 2) in res.graph.edges
-        # the frequency map still reports the filtered edge
-        assert res.frequencies[(2, 3)] == 1.0
-
     def test_short_window_on_wide_data_caps_conditioning(self):
         # 8 unrolled columns on 6-row subsamples: Fisher-z at level alpha can
         # test sets of at most 6 - 4 = 2, and alpha 0.6 never removes an edge
         data = linvar(derive_seed(100, 6), n=100)
         cfg = TpcnsConfig(
             window_length=6, num_subsamples=3, freq_cutoff=0.5,
-            pc=PcConfig(gaussian=GaussianCiConfig(alpha=0.6)),
+            pc=PcConfig(GaussianCiConfig(alpha=0.6)),
             window=WindowConfig(tau=2, r=2), seed=23,
         )
         res = tpcns(data, cfg)
         assert res.frequencies and all(f == 1.0 for f in res.frequencies.values())
+        assert res.diagnostics == (
+            "3 of 3 subsamples: conditioning sets capped at size 2: the Fisher-z "
+            "threshold at level alpha needs n - |k| - 3 > 0 and the sample has 6 rows",
+        )
+
+    def test_subsample_diagnostics_counted_in_first_seen_order(self, monkeypatch):
+        tpc_module = importlib.import_module("tspc.tpc")
+        scripted = iter([("a", "b", "a"), ("b",), ("c", "a")])
+        real_pc = tpc_module.pc
+
+        def scripted_pc(values, config):
+            return replace(real_pc(values, config), diagnostics=next(scripted))
+
+        monkeypatch.setattr(tpc_module, "pc", scripted_pc)
+        cfg = TpcnsConfig(num_subsamples=3, pc=GAUSSIAN, window=WindowConfig(tau=2, r=2))
+        res = tpcns(linvar(derive_seed(100, 1)), cfg)
+        assert res.diagnostics == (
+            "2 of 3 subsamples: a", "2 of 3 subsamples: b", "1 of 3 subsamples: c",
+        )
 
     def test_window_longer_than_series_rejected(self):
         data = linvar(derive_seed(100, 5), n=60)
