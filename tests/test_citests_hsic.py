@@ -177,6 +177,26 @@ class TestCiTest:
         full = hsic_ci_test(x, y, empty_z(300), HsicConfig(gamma=1.0))
         capped = hsic_ci_test(x, y, empty_z(300), HsicConfig(gamma=1.0, max_rows=100))
         assert full.statistic != capped.statistic
+        rows = strided_subset(300, 100)
+        assert capped.statistic == hsic_conditional(x[rows], y[rows], None)
+
+    @pytest.mark.parametrize("max_rows", [None, 40])
+    def test_every_empty_z_shape_is_no_conditioning(self, max_rows):
+        rng = make_generator(39)
+        x = rng.normal(size=60)
+        y = rng.normal(size=60) + 0.5 * x
+        cfg = HsicConfig(gamma=0.05, max_rows=max_rows)
+        outcomes = [hsic_ci_test(x, y, z, cfg) for z in (None, np.empty(0), empty_z(60))]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    @pytest.mark.parametrize("max_rows", [None, 40])
+    def test_vector_z_equals_column_z(self, max_rows):
+        rng = make_generator(40)
+        z = rng.normal(size=60)
+        x = z + rng.normal(size=60)
+        y = z + rng.normal(size=60)
+        cfg = HsicConfig(gamma=0.05, max_rows=max_rows)
+        assert hsic_ci_test(x, y, z, cfg) == hsic_ci_test(x, y, z[:, None], cfg)
 
     def test_null_coverage_with_calibrated_gamma(self):
         # independent pairs accepted at roughly the quantile level; the
