@@ -8,10 +8,13 @@ z, the value is
     Tr[ R_(y,z) R_(x,z) - 2 R_(y,z) R_(x,z) R_z + R_(y,z) R_z R_(x,z) R_z ],
 
 which tends to zero exactly under conditional independence as the sample
-grows and the regularizer eps_n = n^(-1/4) decays.  Each block's kernel
-bandwidth is its median pairwise distance.  An empty conditioning set drops
-the R_z terms (R_z is the zero map) and the value reduces to the
-unconditional dependence criterion Tr[R_y R_x].
+grows and the regularizer eps_n = n^(-1/4) decays.  Every Gram matrix comes
+from centered_gram, whose kernel bandwidth is the block's median pairwise
+distance.  An empty conditioning set drops the R_z terms (R_z is the zero
+map) and the value reduces to the unconditional dependence criterion
+Tr[R_y R_x]; a constant conditioning block has the zero Gram matrix and gives
+the same value.  hsic_conditional shapes and checks the inputs; hsic_ci_test
+only caps rows and applies the threshold.
 """
 
 from __future__ import annotations
@@ -76,44 +79,28 @@ def median_bandwidth(samples: np.ndarray) -> float:
     return float(np.median(pdist(arr)))
 
 
-def centered_gram(samples: np.ndarray, bandwidth: float | str = "median") -> np.ndarray:
+def centered_gram(samples: np.ndarray) -> np.ndarray:
     """Doubly centered Gaussian-kernel Gram matrix of the sample block.
 
-    The kernel is k(a, b) = exp(-||a - b||^2 / (2 h^2)) with h either fixed
-    or the median pairwise distance.  Centering removes row, column, and
-    grand means, so the result has zero row sums and is positive
-    semidefinite up to rounding.
+    The kernel is k(a, b) = exp(-||a - b||^2 / (2 h^2)) with h the median
+    pairwise distance.  Centering removes row, column, and grand means, so
+    the result has zero row sums and is positive semidefinite up to rounding.
+
+    A median distance of zero gives the zero matrix.  For a block whose rows
+    are all identical that is exact: any positive bandwidth gives the
+    all-ones kernel, which centers to zero, so a constant conditioning block
+    behaves exactly like no conditioning.
     """
     arr = _as_block(samples)
-    if isinstance(bandwidth, str):
-        if bandwidth != "median":
-            raise ValueError(f"bandwidth rule must be 'median' or a positive real, got {bandwidth!r}")
-        h = median_bandwidth(arr)
-        if h == 0.0:
-            raise CiTestError("zero bandwidth")
-    else:
-        h = float(bandwidth)
-        if not h > 0.0:
-            raise CiTestError("zero bandwidth")
+    h = median_bandwidth(arr)
+    if h == 0.0:
+        return np.zeros((len(arr), len(arr)))
     sq = squareform(pdist(arr, "sqeuclidean"))
     gram = np.exp(-sq / (2.0 * h * h))
     row = gram.mean(axis=0, keepdims=True)
     col = gram.mean(axis=1, keepdims=True)
     grand = gram.mean()
     return gram - row - col + grand
-
-
-def _guarded_gram(arr: np.ndarray) -> np.ndarray:
-    """centered_gram at the median bandwidth, zero for a zero-spread block.
-
-    A block whose rows are all identical has median distance zero; any
-    positive bandwidth then gives the all-ones kernel, which centers to the
-    zero matrix.  Returning that limit instead of failing makes a constant
-    conditioning block behave exactly like no conditioning.
-    """
-    if median_bandwidth(arr) == 0.0:
-        return np.zeros((arr.shape[0], arr.shape[0]))
-    return centered_gram(arr)
 
 
 def _resolvent(gram: np.ndarray, reg: float) -> np.ndarray:
@@ -140,9 +127,9 @@ def hsic_conditional(
 ) -> float:
     """The conditional-dependence statistic for x against y given z.
 
-    x and y are single columns; z is a column block or None/empty.  The
-    augmented blocks (x, z) and (y, z) each pick their own median bandwidth.
-    The value is nonnegative up to rounding of order 1e-8 and is exactly
+    x and y are single columns; z is a vector, a column block, or None or
+    any size-0 array for no conditioning.  The augmented blocks (x, z) and
+    (y, z) each pick their own median bandwidth.  The value is nonnegative up to rounding of order 1e-8 and is exactly
     symmetric in x and y.
     """
     xa = _as_block(x)
@@ -154,23 +141,17 @@ def hsic_conditional(
         raise ValueError(f"x has {n} rows but y has {ya.shape[0]}")
     if n < 4:
         raise ValueError(f"need at least 4 rows, got {n}")
-    za: np.ndarray | None = None
-    if z is not None:
-        za = np.asarray(z, dtype=np.float64)
-        if za.ndim == 1:
-            za = za[:, None]
-        if za.size == 0:
-            za = None
-        elif za.shape[0] != n:
-            raise ValueError(f"x has {n} rows but z has {za.shape[0]}")
+    za = None if z is None or np.size(z) == 0 else _as_block(z)
+    if za is not None and za.shape[0] != n:
+        raise ValueError(f"x has {n} rows but z has {za.shape[0]}")
 
     reg = n * n ** (-_EPS_EXPONENT)
     if za is None:
-        gx = _guarded_gram(xa)
-        gy = _guarded_gram(ya)
+        gx = centered_gram(xa)
+        gy = centered_gram(ya)
     else:
-        gx = _guarded_gram(np.hstack([xa, za]))
-        gy = _guarded_gram(np.hstack([ya, za]))
+        gx = centered_gram(np.hstack([xa, za]))
+        gy = centered_gram(np.hstack([ya, za]))
     rx = _resolvent(gx, reg)
     ry = _resolvent(gy, reg)
 
@@ -181,7 +162,7 @@ def hsic_conditional(
     term1 = trace_prod(ry, rx)
     if za is None:
         return term1
-    gz = _guarded_gram(za)
+    gz = centered_gram(za)
     rz = _resolvent(gz, reg)
     ryx = ry @ rx
     term2 = trace_prod(ryx, rz)
@@ -261,21 +242,18 @@ def hsic_ci_test(
     z: np.ndarray | None,
     config: HsicConfig,
 ) -> CiOutcome:
-    """Decide one query: the statistic against the fixed threshold config.gamma."""
+    """Decide one query: the statistic against the fixed threshold config.gamma.
+
+    With config.max_rows set, every input with as many rows as x is cut to
+    the same strided subset; hsic_conditional shapes and checks the rest.
+    """
     if config.gamma is None:
         raise ValueError("hsic_ci_test needs a fixed threshold: set HsicConfig.gamma")
-    xa = _as_block(x)
-    ya = _as_block(y)
-    za = None
-    if z is not None:
-        za = np.asarray(z, dtype=np.float64)
-        if za.ndim == 1:
-            za = za[:, None]
-        if za.size == 0:
-            za = None
-    if config.max_rows is not None and xa.shape[0] > config.max_rows:
-        idx = strided_subset(xa.shape[0], config.max_rows)
-        xa = xa[idx]
-        ya = ya[idx]
-        za = za[idx] if za is not None else None
-    return CiOutcome.decide(hsic_conditional(xa, ya, za), config.gamma)
+    n = len(x)
+    if config.max_rows is not None and n > config.max_rows:
+        rows = strided_subset(n, config.max_rows)
+        # An empty z (np.empty(0) has no rows to index) or an input with the
+        # wrong row count passes through uncut, to no conditioning or to the
+        # row-count error of hsic_conditional.
+        x, y, z = (a if a is None or len(a) != n else np.asarray(a)[rows] for a in (x, y, z))
+    return CiOutcome.decide(hsic_conditional(x, y, z), config.gamma)

@@ -291,6 +291,10 @@ def pc(data: DataMatrix | np.ndarray, config: PcConfig = PcConfig()) -> PcResult
     if values.ndim != 2:
         raise ValueError(f"data must be two-dimensional, got shape {values.shape}")
     n, p = values.shape
+    if isinstance(config.test, Dag) and config.test.p != p:
+        raise ValueError(
+            f"the oracle graph has {config.test.p} nodes but the data has {p} columns"
+        )
     search = config
     if isinstance(config.test, GaussianCiConfig) and config.test.alpha is not None:
         # The alpha-mode threshold needs n - |k| - 3 > 0, so larger

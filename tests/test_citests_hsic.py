@@ -7,7 +7,6 @@ import pytest
 
 from tspc.citests import (
     BootstrapConfig,
-    CiTestError,
     HsicConfig,
     centered_gram,
     decoupled_pair_gamma,
@@ -68,13 +67,9 @@ class TestCenteredGram:
         eigs = np.linalg.eigvalsh(g)
         assert eigs.min() >= -1e-8 * np.linalg.norm(g)
 
-    def test_identical_points_zero_bandwidth(self):
-        with pytest.raises(CiTestError, match="zero bandwidth"):
-            centered_gram(np.zeros((5, 1)))
-
-    def test_fixed_bandwidth_bypasses_median(self):
-        g = centered_gram(np.zeros((5, 1)), bandwidth=1.0)
-        assert np.allclose(g, 0.0)
+    def test_identical_points_give_zero_matrix(self):
+        # median distance zero is the all-ones kernel limit, which centers to zero
+        assert np.array_equal(centered_gram(np.zeros((5, 1))), np.zeros((5, 5)))
 
     def test_median_bandwidth_is_median_distance(self):
         pts = np.array([[0.0], [1.0], [3.0]])
@@ -179,6 +174,16 @@ class TestCiTest:
         assert full.statistic != capped.statistic
         rows = strided_subset(300, 100)
         assert capped.statistic == hsic_conditional(x[rows], y[rows], None)
+
+    def test_capped_row_mismatch_named(self):
+        # an input whose row count differs from x is not cut, so the
+        # statistic's row check names it
+        x = make_generator(41).normal(size=300)
+        cfg = HsicConfig(gamma=1.0, max_rows=100)
+        with pytest.raises(ValueError, match="but y has 299"):
+            hsic_ci_test(x, x[:-1], None, cfg)
+        with pytest.raises(ValueError, match="but z has 299"):
+            hsic_ci_test(x, x, x[:-1], cfg)
 
     @pytest.mark.parametrize("max_rows", [None, 40])
     def test_every_empty_z_shape_is_no_conditioning(self, max_rows):

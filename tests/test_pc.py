@@ -279,6 +279,13 @@ class TestSamplePc:
             PcConfig(HsicConfig())
         PcConfig(HsicConfig(gamma=0.1))
 
+    @pytest.mark.parametrize("truth,p", [(Dag(3), 4), (Dag(3, {(0, 2), (2, 1)}), 2)])
+    def test_oracle_graph_must_match_data_width(self, truth, p):
+        # a wider graph used to fail deep in d_separated, a narrower one to
+        # search the first columns of the graph silently
+        with pytest.raises(ValueError, match=f"3 nodes but the data has {p} columns"):
+            pc(np.zeros((10, p)), PcConfig(truth))
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10**6))
     def test_stable_skeleton_ignores_node_order(self, seed):

@@ -262,6 +262,28 @@ class TestTpcns:
         assert set(high.graph.edges) <= set(low.graph.edges)
         assert low.frequencies == high.frequencies
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10**6),
+        cutoffs=st.lists(
+            st.one_of(st.floats(0.0, 1.0), st.sampled_from([k / 8 for k in range(9)])),
+            min_size=2, max_size=2,
+        ),
+    )
+    def test_cutoff_only_filters_the_vote(self, seed, cutoffs):
+        # the cutoff is applied after voting, so it never moves a frequency
+        # and raising it can only drop edges; fractions are multiples of 1/8,
+        # so cutoffs on those values exercise ties
+        low, high = sorted(cutoffs)
+        data = linvar(derive_seed(9800, seed), n=200)
+        cfg = TpcnsConfig(window_length=30, num_subsamples=8, freq_cutoff=low, pc=GAUSSIAN,
+                          window=WindowConfig(tau=2, r=2), seed=seed)
+        a = tpcns(data, cfg)
+        b = tpcns(data, replace(cfg, freq_cutoff=high))
+        assert a.frequencies == b.frequencies
+        assert set(b.graph.edges) <= set(a.graph.edges)
+        assert set(a.graph.edges) == {e for e, f in a.frequencies.items() if f >= low}
+
     def test_deterministic_given_seed(self):
         data = linvar(derive_seed(100, 4))
         a = tpcns(data, self.config(0.4, seed=17))
