@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg as sla
+from scipy import stats
 
 from tspc.citests import (
     CiOutcome,
@@ -22,6 +25,7 @@ from tspc.citests import (
     sample_covariance,
 )
 from tspc.data import DataMatrix
+from tspc.pc import CiQueryError, PcConfig, pc
 from tspc.rng import derive_seed, make_generator
 
 from .oracles import random_dag, residual_partial_corr, sem_covariance
@@ -231,3 +235,80 @@ class TestAgainstSemOracle:
                     rho = partial_correlation(cov, CiQuery(i, j, k))
                     sep = d_separated(g, {i}, {j}, set(k))
                     assert (abs(rho) < 1e-10) == sep
+
+
+def _reference_partial_correlation(sigma: np.ndarray, query: CiQuery) -> float:
+    # The Schur-complement formula as first written: full sub-block, checked
+    # Cholesky, checked solve.
+    idx = [query.i, query.j, *query.k]
+    sub = sigma[np.ix_(idx, idx)]
+    cond = sub[:2, :2]
+    if query.k:
+        chol = sla.cholesky(sub[2:, 2:], lower=True)
+        cond = cond - sub[:2, 2:] @ sla.cho_solve((chol, True), sub[:2, 2:].T)
+    return float(cond[0, 1] / math.sqrt(cond[0, 0] * cond[1, 1]))
+
+
+def _reference_gamma(alpha: float, n: int, cond_size: int) -> float:
+    return float(stats.norm.ppf(1.0 - alpha) / math.sqrt(n - cond_size - 3))
+
+
+class TestBitForBit:
+    """The query path returns exactly the bits of the reference formulas."""
+
+    P = 6
+
+    def _covariances(self):
+        for seed in range(4):
+            rng = make_generator(derive_seed(9300, seed))
+            yield sample_covariance(rng.normal(size=(30, self.P)))
+            a = rng.normal(size=(self.P, self.P))
+            yield CovMatrix(a @ a.T + 0.1 * np.eye(self.P), n=500)
+
+    def test_partial_correlation_levels_0_to_3(self):
+        checked = 0
+        for cov in self._covariances():
+            for i in range(self.P):
+                for j in range(self.P):
+                    if i == j:
+                        continue
+                    others = [v for v in range(self.P) if v not in (i, j)]
+                    for level in range(4):
+                        for k in combinations(others, level):
+                            query = CiQuery(i, j, k)
+                            got = partial_correlation(cov, query)
+                            want = _reference_partial_correlation(cov.sigma, query)
+                            assert got.hex() == want.hex(), query
+                            checked += 1
+        assert checked == 8 * 30 * (1 + 4 + 6 + 4)
+
+    def test_gaussian_gamma(self):
+        for alpha in (1e-6, 0.001, 0.01, 0.05, 0.2, 0.5, 0.6, 0.999):
+            for cond_size in (0, 1, 2, 3, 4, 10, 30):
+                for n in (cond_size + 4, cond_size + 5, 50, 51, 1000, 199_999):
+                    got = gaussian_gamma(alpha, n, cond_size)
+                    want = _reference_gamma(alpha, n, cond_size)
+                    assert got.hex() == want.hex(), (alpha, n, cond_size)
+
+    def test_ci_test_threshold_is_the_gamma(self):
+        cov = sample_covariance(make_generator(9301).normal(size=(12, 4)))
+        for alpha in (1e-6, 0.6):
+            for k in ((), (2,), (2, 3)):
+                out = gaussian_ci_test(cov, CiQuery(0, 1, k), GaussianCiConfig(alpha=alpha))
+                assert out.threshold.hex() == _reference_gamma(alpha, 12, len(k)).hex()
+
+    def test_collinear_conditioning_set_raises(self):
+        sigma = np.ones((4, 4)) + np.eye(4)
+        sigma[2, 3] = sigma[3, 2] = sigma[2, 2]
+        with pytest.raises(CiTestError, match="collinear"):
+            partial_correlation(CovMatrix(sigma, n=50), CiQuery(0, 1, (2, 3)))
+
+    def test_pc_reports_the_collinear_query(self):
+        # Column 3 is column 2 plus a 1e-7 perturbation: no residual variance
+        # vanishes, but the block {3, 4} is numerically singular.  A tiny
+        # fixed gamma keeps every edge, so the first level-2 query hits it.
+        rng = make_generator(9302)
+        values = rng.normal(size=(60, 4))
+        values[:, 3] = values[:, 2] + 1e-7 * rng.normal(size=60)
+        with pytest.raises(CiQueryError, match=r"\(1, 2 \| \{3, 4\}\).*collinear"):
+            pc(values, PcConfig(GaussianCiConfig(gamma=1e-12)))
