@@ -8,6 +8,7 @@ partial correlation is zero, which gives the threshold its closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +45,15 @@ class CovMatrix:
         arr = np.array(self.sigma, dtype=np.float64, copy=True)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"covariance must be square, got shape {arr.shape}")
+        # Before the symmetry check, whose tolerance would be inf.  Checked
+        # once per covariance, so partial_correlation does not check again.
+        finite = np.isfinite(arr)
+        if not finite.all():
+            bad = ", ".join(str(c + 1) for c in np.flatnonzero(~finite.all(axis=0)))
+            raise ValueError(
+                f"covariance is not finite in column(s) {bad}: the data hold inf or "
+                "nan, or a variance overflows float64"
+            )
         if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-8 * (1.0 + np.abs(arr).max())):
             raise ValueError("covariance must be symmetric")
         if np.any(np.diag(arr) < -1e-12):
@@ -64,8 +74,9 @@ class CovMatrix:
 class GaussianCiConfig:
     """Threshold policy: exactly one of alpha (level) or gamma (fixed cut).
 
-    alpha mode recomputes the cut from the sample and conditioning sizes per
-    query; gamma mode compares |z| against the same constant everywhere,
+    alpha mode derives the cut Phi^{-1}(1 - alpha) / sqrt(n - |k| - 3) from
+    the sample and conditioning sizes, computing the normal quantile once per
+    alpha; gamma mode compares |z| against the same constant everywhere,
     which is the regime the consistency guarantees speak about.
     """
 
@@ -91,8 +102,10 @@ def sample_covariance(values: DataMatrix | np.ndarray) -> CovMatrix:
     n = arr.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 rows, got {n}")
-    centered = arr - arr.mean(axis=0)
-    sigma = centered.T @ centered / n
+    # An overflow is reported by CovMatrix, naming the column.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = arr - arr.mean(axis=0)
+        sigma = centered.T @ centered / n
     return CovMatrix(sigma, n)
 
 
@@ -107,28 +120,29 @@ def partial_correlation(cov: CovMatrix, query: CiQuery) -> float:
     for v in (query.i, query.j, *query.k):
         if not 0 <= v < p:
             raise ValueError(f"variable {v} out of range for p={p}")
-    idx = [query.i, query.j, *query.k]
-    sub = cov.sigma[np.ix_(idx, idx)]
-    s11 = sub[:2, :2]
+    sigma = cov.sigma
     if query.k:
+        idx = [query.i, query.j, *query.k]
+        sub = sigma[np.ix_(idx, idx)]
         s12 = sub[:2, 2:]
         s22 = sub[2:, 2:]
+        # CovMatrix rejected non-finite entries, so skip the finiteness scans.
         try:
-            chol = sla.cholesky(s22, lower=True)
+            chol = sla.cholesky(s22, lower=True, check_finite=False)
         except sla.LinAlgError:
             raise CiTestError("conditioning set collinear") from None
         if np.min(np.diag(chol)) ** 2 < _PIVOT_TOL * np.trace(s22):
             raise CiTestError("conditioning set collinear")
         # S22^{-1} S21 through the existing factor, no explicit inverse.
-        w = sla.cho_solve((chol, True), s12.T)
-        cond = s11 - s12 @ w
+        w = sla.cho_solve((chol, True), s12.T, check_finite=False)
+        cond = sub[:2, :2] - s12 @ w
+        var_i, var_j, cov_ij = cond[0, 0], cond[1, 1], cond[0, 1]
     else:
-        cond = s11
-    var_i = cond[0, 0]
-    var_j = cond[1, 1]
+        i, j = query.i, query.j
+        var_i, var_j, cov_ij = sigma[i, i], sigma[j, j], sigma[i, j]
     if var_i <= 0.0 or var_j <= 0.0:
         raise CiTestError("degenerate residual variance")
-    return float(cond[0, 1] / math.sqrt(var_i * var_j))
+    return float(cov_ij / math.sqrt(var_i * var_j))
 
 
 def fisher_z(rho: float) -> float:
@@ -136,6 +150,13 @@ def fisher_z(rho: float) -> float:
     if not -1.0 < rho < 1.0:
         raise ValueError(f"correlation must satisfy |rho| < 1, got {rho}")
     return math.atanh(rho)
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_quantile(alpha: float) -> float:
+    # Phi^{-1}(1 - alpha) depends on alpha alone; a search asks for it once
+    # per query, so it is computed once per alpha.
+    return float(stats.norm.ppf(1.0 - alpha))
 
 
 def gaussian_gamma(alpha: float, n: int, cond_size: int) -> float:
@@ -149,7 +170,7 @@ def gaussian_gamma(alpha: float, n: int, cond_size: int) -> float:
         raise ValueError(
             f"need n - |k| - 3 > 0, got n={n} with conditioning size {cond_size}"
         )
-    return float(stats.norm.ppf(1.0 - alpha) / math.sqrt(dof))
+    return float(_upper_quantile(alpha) / math.sqrt(dof))
 
 
 def gaussian_ci_test(cov: CovMatrix, query: CiQuery, config: GaussianCiConfig) -> CiOutcome:

@@ -10,11 +10,12 @@ z, the value is
 which tends to zero exactly under conditional independence as the sample
 grows and the regularizer eps_n = n^(-1/4) decays.  Every Gram matrix comes
 from centered_gram, whose kernel bandwidth is the block's median pairwise
-distance.  An empty conditioning set drops the R_z terms (R_z is the zero
-map) and the value reduces to the unconditional dependence criterion
-Tr[R_y R_x]; a constant conditioning block has the zero Gram matrix and gives
-the same value.  hsic_conditional shapes and checks the inputs; hsic_ci_test
-only caps rows and applies the threshold.
+distance (the median positive distance when most pairs are tied).  An empty
+conditioning set drops the R_z terms (R_z is the zero map) and the value
+reduces to the unconditional dependence criterion Tr[R_y R_x]; a constant
+conditioning block has the zero Gram matrix and gives the same value.
+hsic_conditional shapes and checks the inputs; hsic_ci_test only caps rows
+and applies the threshold.
 """
 
 from __future__ import annotations
@@ -86,15 +87,21 @@ def centered_gram(samples: np.ndarray) -> np.ndarray:
     pairwise distance.  Centering removes row, column, and grand means, so
     the result has zero row sums and is positive semidefinite up to rounding.
 
-    A median distance of zero gives the zero matrix.  For a block whose rows
-    are all identical that is exact: any positive bandwidth gives the
-    all-ones kernel, which centers to zero, so a constant conditioning block
-    behaves exactly like no conditioning.
+    When more than half of the pairs are tied (a column that is mostly one
+    value) the median distance is zero, and h is the median of the positive
+    distances instead.  Only a block whose rows are all identical gives the
+    zero matrix.  That is exact: any positive bandwidth gives the all-ones
+    kernel, which centers to zero, so a constant conditioning block behaves
+    exactly like no conditioning.
     """
     arr = _as_block(samples)
     h = median_bandwidth(arr)
     if h == 0.0:
-        return np.zeros((len(arr), len(arr)))
+        dist = pdist(arr)
+        positive = dist[dist > 0.0]
+        if positive.size == 0:
+            return np.zeros((len(arr), len(arr)))
+        h = float(np.median(positive))
     sq = squareform(pdist(arr, "sqeuclidean"))
     gram = np.exp(-sq / (2.0 * h * h))
     row = gram.mean(axis=0, keepdims=True)

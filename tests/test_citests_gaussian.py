@@ -92,6 +92,20 @@ class TestCovMatrix:
         with pytest.raises(ValueError):
             CovMatrix(np.array([[-1.0, 0.0], [0.0, 1.0]]), n=10)
 
+    def test_infinite_variance_rejected(self):
+        with pytest.raises(ValueError, match=r"not finite in column\(s\) 1:"):
+            CovMatrix([[math.inf, 0.0], [0.0, 1.0]], 10)
+
+    def test_overflowing_variance_is_an_error_not_an_empty_graph(self):
+        # Column 3's variance overflows float64: an error naming it, not a
+        # search whose level-0 queries divide by an infinite variance.
+        x = make_generator(9310).normal(size=(200, 3))
+        x[:, 2] = 1e200 * x[:, 0] + 1e199 * x[:, 1]
+        with pytest.raises(ValueError, match=r"not finite in column\(s\) 3:"):
+            sample_covariance(x)
+        with pytest.raises(ValueError, match=r"not finite in column\(s\) 3:"):
+            pc(x)
+
 
 class TestPartialCorrelation:
     def test_empty_set_reduces_to_correlation(self):
@@ -238,8 +252,8 @@ class TestAgainstSemOracle:
 
 
 def _reference_partial_correlation(sigma: np.ndarray, query: CiQuery) -> float:
-    # The Schur-complement formula as first written: full sub-block, checked
-    # Cholesky, checked solve.
+    # The Schur-complement formula on the full sub-block, with checked
+    # Cholesky factor and solve.
     idx = [query.i, query.j, *query.k]
     sub = sigma[np.ix_(idx, idx)]
     cond = sub[:2, :2]

@@ -71,6 +71,13 @@ class TestCenteredGram:
         # median distance zero is the all-ones kernel limit, which centers to zero
         assert np.array_equal(centered_gram(np.zeros((5, 1))), np.zeros((5, 5)))
 
+    def test_mostly_tied_column_keeps_its_spread(self):
+        # 4 of 5 values tied: 6 of 10 pairs sit at distance zero, so the
+        # bandwidth is the median of the positive distances, not zero
+        g = centered_gram(np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
+        assert g[4, 4] > 0.0
+        assert np.allclose(g.sum(axis=0), 0.0)
+
     def test_median_bandwidth_is_median_distance(self):
         pts = np.array([[0.0], [1.0], [3.0]])
         # pairwise distances 1, 2, 3
@@ -145,6 +152,18 @@ class TestStatistic:
         with_const = hsic_conditional(x, y, np.ones((80, 1)))
         without = hsic_conditional(x, y, empty_z(80))
         assert with_const == pytest.approx(without, abs=1e-12)
+
+
+    def test_zero_inflated_dependence_is_seen(self):
+        # 78.5% of x is exactly zero, so more than half of its pairwise
+        # distances vanish; y = x + small noise is still far from independent
+        rng = make_generator(9400)
+        x = np.zeros(200)
+        x[rng.permutation(200)[:43]] = rng.normal(size=43)
+        y = x + 0.1 * rng.normal(size=200)
+        z = rng.normal(size=200)
+        dependent = hsic_conditional(x, y, None)
+        assert dependent > 10.0 * hsic_conditional(x, z, None) > 0.0
 
 
 class TestCiTest:

@@ -284,6 +284,30 @@ class TestTpcns:
         assert set(b.graph.edges) <= set(a.graph.edges)
         assert set(a.graph.edges) == {e for e, f in a.frequencies.items() if f >= low}
 
+    def test_normal_quantile_computed_once_per_alpha(self, monkeypatch):
+        # Every query's threshold shares Phi^{-1}(1 - alpha); one search
+        # over many subsamples asks scipy for it once.
+        gaussian = importlib.import_module("tspc.citests.gaussian")
+        gaussian._upper_quantile.cache_clear()
+        calls = {"ppf": 0, "gamma": 0}
+        ppf, gamma = gaussian.stats.norm.ppf, gaussian.gaussian_gamma
+
+        def counting_ppf(*args, **kwargs):
+            calls["ppf"] += 1
+            return ppf(*args, **kwargs)
+
+        def counting_gamma(*args, **kwargs):
+            calls["gamma"] += 1
+            return gamma(*args, **kwargs)
+
+        monkeypatch.setattr(gaussian.stats.norm, "ppf", counting_ppf)
+        monkeypatch.setattr(gaussian, "gaussian_gamma", counting_gamma)
+        cfg = TpcnsConfig(window_length=30, num_subsamples=8, pc=GAUSSIAN,
+                          window=WindowConfig(tau=2, r=2), seed=5)
+        tpcns(linvar(derive_seed(100, 7), n=200), cfg)
+        assert calls["gamma"] > 100
+        assert calls["ppf"] == 1
+
     def test_deterministic_given_seed(self):
         data = linvar(derive_seed(100, 4))
         a = tpcns(data, self.config(0.4, seed=17))
