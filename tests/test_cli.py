@@ -92,6 +92,24 @@ class TestDiscover:
         assert decisions[0] == "i,j,k,statistic,threshold,independent"
         assert len(decisions) > 1
 
+    @pytest.mark.parametrize("test,flags", [
+        ("gaussian", []),
+        ("hsic", ["--bootstrap-replicates", "20", "--block-length", "10"]),
+    ])
+    def test_pc_ignores_window_flags(self, tmp_path, test, flags):
+        data = chain_csv(tmp_path / "chain.csv", n=120)
+        outputs = []
+        for name, window in (("plain", []), ("windowed", ["--tau", "3", "--stride", "1"])):
+            out = tmp_path / name
+            rc = main(["discover", "--method", "pc", "--test", test, *flags, *window,
+                       "--formats", "json,csv,dot", "--in", str(data), "--out", str(out)])
+            assert rc == 0
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()
+                            if f.name != "config.txt"})
+        assert sorted(outputs[0]) == ["decisions.csv", "graph.dot", "graph.json",
+                                      "graph_edges.csv"]
+        assert outputs[0] == outputs[1]
+
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main([
             "discover", "--method", "pc",

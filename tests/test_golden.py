@@ -72,3 +72,39 @@ def test_discover_decisions_match_golden_digest(tmp_path, test):
                "--in", str(src), "--out", str(out), *flags])
     assert rc == 0
     assert sha256((out / "decisions.csv").read_bytes()) == DISCOVER_DIGESTS[test]
+
+
+WINDOWED_DIGESTS = {
+    ("tpcs", "gaussian"): {
+        "graph.json": "796a2021134587774eeb6b89475b8f09e224d69df743bb60c5230609a79b3313",
+        "rolled.json": "7bd20e0b36e48f7d5cd2743ad4f5f7b496f5397a203f4c6bbc9a6c83e25c3743",
+        "decisions.csv": "cc9460ac2099051bfdfdda431040b0cd321ad764490950cd3993dee265edaa75",
+    },
+    ("tpcs", "hsic"): {
+        "graph.json": "210a3dcf9841255849d9234eaaf495142866f03a662503f5ed0d5e42bf98b8e0",
+        "rolled.json": "fe82b8b840c0c70bd26c1d8d15b84794ab7c632db5c3160a670831d45161aca3",
+        "decisions.csv": "5d41094225b95d2d4dcb437bc768874ed0520ef25227e1c84e290ca17f6ce4ce",
+    },
+    ("tpcns", "gaussian"): {
+        "graph.json": "eff0b05276d2cf337d7c78053738968ff89f23d5173f8007660e0f1b88c8da7d",
+        "frequencies.csv": "8707dfbdfead9cf5be3c7b09c725d41f34f8c151861043ce119a13f472f92503",
+    },
+    ("tpcns", "hsic"): {
+        "graph.json": "f9ccfa6196770f070a16b768c7621e273e5fb50b83a9f99a7ac0e9ff8b6466b5",
+        "frequencies.csv": "ece3b8b29afd8c27cd7abdfaa73f68a14f98aa1ca8f96bcdd9b28a409e1e255d",
+    },
+}
+
+WINDOWED_FLAGS = {"tpcs": [], "tpcns": ["--L", "40", "--subsamples", "5"]}
+
+
+@pytest.mark.parametrize("method,test", sorted(WINDOWED_DIGESTS))
+def test_discover_windowed_outputs_match_golden_digest(tmp_path, method, test):
+    src = chain_csv(tmp_path / "chain.csv")
+    out = tmp_path / "out"
+    rc = main(["discover", "--method", method, "--test", test, "--tau", "2", "--stride", "1",
+               *WINDOWED_FLAGS[method], "--in", str(src), "--out", str(out),
+               *DISCOVER_FLAGS[test]])
+    assert rc == 0
+    digests = {name: sha256((out / name).read_bytes()) for name in WINDOWED_DIGESTS[method, test]}
+    assert digests == WINDOWED_DIGESTS[method, test]
