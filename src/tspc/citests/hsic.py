@@ -30,6 +30,7 @@ from .base import CiOutcome, CiTestError
 from .bootstrap import BootstrapConfig, stationary_bootstrap_threshold
 
 __all__ = [
+    "CALIBRATION_MIN_ROWS",
     "HsicConfig",
     "median_bandwidth",
     "centered_gram",
@@ -42,6 +43,9 @@ __all__ = [
 # The regularizer is eps_n = n^(-_EPS_EXPONENT).  Consistency of the statistic
 # needs eps_n -> 0 and n eps_n^3 -> infinity, that is an exponent in (0, 1/3).
 _EPS_EXPONENT = 0.25
+
+# pair_gamma's row minimum: ten bootstrap rows per block of at least 2 rows.
+CALIBRATION_MIN_ROWS = 20
 
 
 @dataclass(frozen=True)
@@ -95,15 +99,15 @@ def centered_gram(samples: np.ndarray) -> np.ndarray:
     exactly like no conditioning.
     """
     arr = _as_block(samples)
-    h = median_bandwidth(arr)
+    sq = pdist(arr, "sqeuclidean")
+    dist = np.sqrt(sq)
+    h = float(np.median(dist))
     if h == 0.0:
-        dist = pdist(arr)
         positive = dist[dist > 0.0]
         if positive.size == 0:
             return np.zeros((len(arr), len(arr)))
         h = float(np.median(positive))
-    sq = squareform(pdist(arr, "sqeuclidean"))
-    gram = np.exp(-sq / (2.0 * h * h))
+    gram = np.exp(-squareform(sq) / (2.0 * h * h))
     row = gram.mean(axis=0, keepdims=True)
     col = gram.mean(axis=1, keepdims=True)
     grand = gram.mean()
@@ -136,8 +140,8 @@ def hsic_conditional(
 
     x and y are single columns; z is a vector, a column block, or None or
     any size-0 array for no conditioning.  The augmented blocks (x, z) and
-    (y, z) each pick their own median bandwidth.  The value is nonnegative up to rounding of order 1e-8 and is exactly
-    symmetric in x and y.
+    (y, z) each pick their own median bandwidth.  The value is nonnegative up
+    to rounding of order 1e-8 and is exactly symmetric in x and y.
     """
     xa = _as_block(x)
     ya = _as_block(y)
@@ -204,12 +208,14 @@ def pair_gamma(
     quantile of the unconditional statistic, which then serves as one fixed
     gamma for every query of a search.  Rows are capped at config.max_rows
     and the block length is clamped to a tenth of the row count (at least 2)
-    so short inputs still calibrate.
+    so inputs down to CALIBRATION_MIN_ROWS rows still calibrate.
     """
     arr = np.asarray(pair, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"need a two-column matrix, got shape {arr.shape}")
     arr = _cap_rows(arr, config)
+    if len(arr) < CALIBRATION_MIN_ROWS:
+        raise ValueError(f"need at least {CALIBRATION_MIN_ROWS} rows to calibrate, got {len(arr)}")
     block = max(2.0, min(boot.expected_block_length, arr.shape[0] / 10.0))
     if block != boot.expected_block_length:
         boot = replace(boot, expected_block_length=block)
@@ -236,10 +242,7 @@ def decoupled_pair_gamma(
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise ValueError(f"need an n x p matrix with p >= 2, got shape {arr.shape}")
     arr = _cap_rows(arr, config)
-    n = arr.shape[0]
-    if n < 20:
-        raise ValueError(f"need at least 20 rows to calibrate, got {n}")
-    surrogate = np.column_stack([arr[:, 0], np.roll(arr[:, 1], n // 2)])
+    surrogate = np.column_stack([arr[:, 0], np.roll(arr[:, 1], len(arr) // 2)])
     return pair_gamma(surrogate, boot, config)
 
 

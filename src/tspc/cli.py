@@ -26,7 +26,7 @@ from pathlib import Path
 from .citests import BootstrapConfig, GaussianCiConfig, HsicConfig, decoupled_pair_gamma
 from .data import DataMatrix, ingest_csv, write_csv, write_text_atomic
 from .graphs import Dag, Pdag, RolledGraph, graph_from_json, roll, to_dot, to_json
-from .pc import PcConfig, decisions_to_csv, pc
+from .pc import PcConfig, decisions_to_csv
 from .evaluate import TPR_MODES, confusion, metrics
 from .reproduce import METHODS, SweepConfig, run_sweep, write_outputs
 from .rng import STREAM_CALIBRATE, STREAM_SUBSAMPLE, derive_seed
@@ -290,7 +290,7 @@ def _discover_pc_config(
                 # the very dependence being tested and so could never flag an
                 # edge.
                 gamma = decoupled_pair_gamma(
-                    calibration_rows(data, args.method, window, args.L),
+                    calibration_rows(data, window, args.L if args.method == "tpcns" else None),
                     BootstrapConfig(
                         num_replicates=args.bootstrap_replicates,
                         expected_block_length=args.block_length,
@@ -303,8 +303,7 @@ def _discover_pc_config(
         else:
             if args.truth is None:
                 raise CliError("the oracle test requires --truth")
-            unrolled_p = data.p if args.method == "pc" else data.p * args.tau
-            test = _load_truth_dag(args.truth, unrolled_p)
+            test = _load_truth_dag(args.truth, data.p * window.tau)
         return PcConfig(test, max_cond_size=args.max_cond_size, stable=args.stable)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -324,28 +323,14 @@ def _run_discover(args: argparse.Namespace) -> None:
     except (FileNotFoundError, ValueError) as exc:
         raise CliError(str(exc)) from exc
     try:
-        window = WindowConfig(tau=args.tau, r=args.stride)
+        window = (WindowConfig(tau=1, r=1) if args.method == "pc"
+                  else WindowConfig(tau=args.tau, r=args.stride))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     pc_cfg = _discover_pc_config(args, data, window)
     out = _prepare_out(args)
 
-    if args.method == "pc":
-        result = pc(data, pc_cfg)
-        _emit_graph(out, "graph", result.pdag, formats)
-        write_text_atomic(out / "decisions.csv", decisions_to_csv(result.decisions))
-        diagnostics = result.diagnostics
-        summary = (f"wrote {out / 'graph.json' if 'json' in formats else out} "
-                   f"({len(result.pdag.directed)} directed, "
-                   f"{len(result.pdag.undirected)} undirected)")
-    elif args.method == "tpcs":
-        result = tpc(data, window, pc_cfg)
-        _emit_graph(out, "graph", result.unrolled, formats)
-        _emit_graph(out, "rolled", result.rolled, formats)
-        write_text_atomic(out / "decisions.csv", decisions_to_csv(result.pc.decisions))
-        diagnostics = result.pc.diagnostics
-        summary = f"wrote rolled graph with {len(result.rolled.edges)} edges to {out}"
-    else:
+    if args.method == "tpcns":
         try:
             tcfg = TpcnsConfig(
                 window_length=args.L,
@@ -362,6 +347,18 @@ def _run_discover(args: argparse.Namespace) -> None:
         write_text_atomic(out / "frequencies.csv", frequencies_to_csv(result.frequencies))
         diagnostics = result.diagnostics
         summary = f"wrote rolled graph with {len(result.graph.edges)} edges to {out}"
+    else:
+        result = tpc(data, window, pc_cfg)
+        pdag = result.pc.pdag
+        _emit_graph(out, "graph", pdag, formats)
+        write_text_atomic(out / "decisions.csv", decisions_to_csv(result.pc.decisions))
+        diagnostics = result.pc.diagnostics
+        if args.method == "tpcs":
+            _emit_graph(out, "rolled", result.rolled, formats)
+            summary = f"wrote rolled graph with {len(result.rolled.edges)} edges to {out}"
+        else:
+            summary = (f"wrote {out / 'graph.json' if 'json' in formats else out} "
+                       f"({len(pdag.directed)} directed, {len(pdag.undirected)} undirected)")
     for line in diagnostics:
         print(f"note: {line}", file=sys.stderr)
     print(summary)

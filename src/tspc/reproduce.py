@@ -1,13 +1,13 @@
 """Benchmark sweeps: methods x noise levels x test levels x repetitions.
 
-Six method profiles are covered.  PC and PCHS treat the raw rows as exchangeable
-and their oriented output is expanded onto ordered pairs.  TPCS and TPCSHS run
-the search on windows of tau consecutive rows and roll the result.  TPCNS and
-TPCNSHS add subsample aggregation on top.  The *HS variants use the kernel
-dependence test with one fixed threshold per run, calibrated by stationary
-bootstrap on the known independent pair (columns 1 and 2 are mutually
-independent inputs in all four benchmark dynamics) of the rows the search
-sees.
+Six method profiles are covered.  TPCS and TPCSHS run the search on windows
+of tau consecutive rows and roll the result.  PC and PCHS are the same search
+at depth 1 and stride 1, that is on the raw rows, with undirected output edges
+read both ways.  TPCNS and TPCNSHS add subsample aggregation on top.  The *HS
+variants use the kernel dependence test with one fixed threshold per run,
+calibrated by stationary bootstrap on the known independent pair (columns 1
+and 2 are mutually independent inputs in all four benchmark dynamics) of the
+rows the search sees.
 
 Window depth defaults to two (one step of history next to the current step).
 With depth one a window holds a single time point, and in the lag-driven
@@ -26,10 +26,11 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .citests import BootstrapConfig, GaussianCiConfig, HsicConfig, pair_gamma
+from .citests.hsic import CALIBRATION_MIN_ROWS
 from .data import DataMatrix, write_text_atomic
 from .evaluate import EdgeConfusion, MetricsReport, aggregate, confusion, edge_frequency, metrics
-from .graphs import RolledGraph, roll
-from .pc import PcConfig, pc
+from .graphs import RolledGraph
+from .pc import PcConfig
 from .rng import STREAM_CALIBRATE, STREAM_SUBSAMPLE, derive_seed
 from .simulate import PARADIGMS, SimConfig, generate, ground_truth
 from .tpc import TpcnsConfig, WindowConfig, calibration_rows, tpc, tpcns
@@ -54,8 +55,9 @@ class SweepConfig:
     """One paradigm, a method subset, and the grid to sweep.
 
     n is the series length handed to the generator (total milliseconds for
-    CTRNN).  hsic_max_rows caps the rows any single kernel test sees; None
-    lifts the cap.
+    CTRNN).  tau and stride set the windows of the TPC methods; PC and PCHS
+    always search at depth 1 and stride 1.  hsic_max_rows caps the rows any
+    single kernel test sees; None lifts the cap.
     """
 
     paradigm: str
@@ -103,6 +105,9 @@ class SweepConfig:
             raise ValueError("tau and stride must be at least 1")
         if not self.calibration_block > 1.0:
             raise ValueError(f"calibration_block must exceed 1, got {self.calibration_block}")
+        if "TPCNSHS" in methods and self.window_length < CALIBRATION_MIN_ROWS:
+            raise ValueError(f"TPCNSHS calibrates on window_length rows, at least "
+                             f"{CALIBRATION_MIN_ROWS}; got window_length={self.window_length}")
 
 
 @dataclass(frozen=True)
@@ -136,11 +141,11 @@ def _estimate(
     rep_key: tuple[int, ...],
 ) -> RolledGraph:
     """One method on one series; returns the estimated rolled graph."""
-    window = WindowConfig(tau=cfg.tau, r=cfg.stride)
+    window = WindowConfig(1, 1) if method.startswith("PC") else WindowConfig(cfg.tau, cfg.stride)
+    window_length = cfg.window_length if method.startswith("TPCNS") else None
     midx = METHODS.index(method)
-    family = method.removesuffix("HS").lower()
     if method.endswith("HS"):
-        rows = calibration_rows(data, family, window, cfg.window_length)
+        rows = calibration_rows(data, window, window_length)
         boot = BootstrapConfig(
             num_replicates=cfg.calibration_replicates,
             expected_block_length=cfg.calibration_block,
@@ -152,20 +157,16 @@ def _estimate(
     else:
         pc_cfg = PcConfig(GaussianCiConfig(alpha=alpha))
 
-    if family == "pc":
-        result = pc(data, pc_cfg)
-        return roll(result.pdag, data.p, 1)
-    if family == "tpcs":
+    if window_length is None:
         return tpc(data, window, pc_cfg).rolled
-    tpcns_cfg = TpcnsConfig(
-        window_length=cfg.window_length,
+    return tpcns(data, TpcnsConfig(
+        window_length=window_length,
         num_subsamples=cfg.num_subsamples,
         freq_cutoff=cfg.freq_cutoff,
         pc=pc_cfg,
         window=window,
         seed=derive_seed(*rep_key, midx, STREAM_SUBSAMPLE),
-    )
-    return tpcns(data, tpcns_cfg).graph
+    )).graph
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:

@@ -4,7 +4,7 @@ A window of tau consecutive rows becomes one observation over p * tau
 variables (variable v at offset t sits at column p * t + v), windows start
 every r rows, and the plain search runs on the unrolled sample.  Rolling the
 resulting graph back onto the p original variables keeps only arrows that
-respect time order.
+respect time order.  Plain PC is the case tau = r = 1.
 
 The subsampled variant runs the search on many short contiguous stretches of
 the unrolled sample and keeps the edges that recur: averaging over windows
@@ -56,8 +56,11 @@ def unroll(data: DataMatrix, window: WindowConfig) -> DataMatrix:
     """Stack each window of tau rows into one row of p * tau columns.
 
     Row t of the result is original rows t*r .. t*r + tau - 1 concatenated
-    in time order; the row count is floor((n - tau) / r) + 1.
+    in time order; the row count is floor((n - tau) / r) + 1.  At depth 1 and
+    stride 1 that is the input itself, returned as is.
     """
+    if (window.tau, window.r) == (1, 1):
+        return data
     n, p = data.n, data.p
     if n < window.tau:
         raise ValueError(f"need at least tau={window.tau} rows, got {n}")
@@ -75,25 +78,19 @@ def unroll(data: DataMatrix, window: WindowConfig) -> DataMatrix:
 
 
 def calibration_rows(
-    data: DataMatrix, method: str, window: WindowConfig, window_length: int
+    data: DataMatrix, window: WindowConfig, window_length: int | None = None
 ) -> np.ndarray:
-    """The rows a search of one method family sees, for threshold calibration.
+    """The rows a search sees, for threshold calibration.
 
-    "pc" searches the raw rows and "tpcs" the unrolled rows; "tpcns" searches
-    stretches of window_length unrolled rows, represented by the first one,
-    so a calibrated threshold matches the row count it will be applied at.
+    tpc searches the unrolled rows (the raw rows at the window (1, 1) of plain
+    PC); tpcns searches stretches of window_length of them, represented by the
+    first, so a calibrated threshold matches the row count it is applied at.
     """
-    if method == "pc":
-        return data.values
-    if method not in ("tpcs", "tpcns"):
-        raise ValueError(f"method must be 'pc', 'tpcs' or 'tpcns', got {method!r}")
-    rows = unroll(data, window).values
-    return rows[:window_length] if method == "tpcns" else rows
+    return unroll(data, window).values[:window_length]
 
 
 @dataclass(frozen=True)
 class TpcResult:
-    unrolled: Pdag
     rolled: RolledGraph
     pc: PcResult
 
@@ -103,11 +100,12 @@ def tpc(
     window: WindowConfig = WindowConfig(),
     config: PcConfig = PcConfig(),
 ) -> TpcResult:
-    """Unroll, search, and roll the oriented result back onto p variables."""
-    chi = unroll(data, window)
-    result = pc(chi, config)
-    rolled = roll(result.pdag, data.p, window.tau)
-    return TpcResult(result.pdag, rolled, result)
+    """Unroll, search, and roll the oriented result back onto p variables.
+
+    At WindowConfig(tau=1, r=1) this is plain PC on the raw rows.
+    """
+    result = pc(unroll(data, window), config)
+    return TpcResult(roll(result.pdag, data.p, window.tau), result)
 
 
 def forward_time(g: Pdag, p: int) -> Pdag:

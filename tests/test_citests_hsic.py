@@ -222,6 +222,7 @@ class TestCiTest:
         cfg = HsicConfig(gamma=0.05, max_rows=max_rows)
         assert hsic_ci_test(x, y, z, cfg) == hsic_ci_test(x, y, z[:, None], cfg)
 
+    @pytest.mark.slow
     def test_null_coverage_with_calibrated_gamma(self):
         # independent pairs accepted at roughly the quantile level; the
         # block bootstrap leans conservative, so the rate sits at the top
@@ -236,6 +237,7 @@ class TestCiTest:
             accepted += hsic_ci_test(x, y, empty_z(n), HsicConfig(gamma=gamma)).independent
         assert accepted >= 180  # >= 90% of 200
 
+    @pytest.mark.slow
     def test_sine_dependence_rejected_with_calibrated_gamma(self):
         n = 150
         rejected = 0
@@ -248,6 +250,7 @@ class TestCiTest:
             rejected += not hsic_ci_test(x, y, empty_z(n), HsicConfig(gamma=gamma)).independent
         assert rejected >= 190  # >= 95% of 200
 
+    @pytest.mark.slow
     def test_lagged_nonlinear_pair_detected(self):
         # nonlinear lagged driver pair: kernel statistic clears a gamma
         # calibrated on an independent reference of the same length
@@ -288,6 +291,19 @@ class TestPairGamma:
     def test_needs_two_columns(self):
         with pytest.raises(ValueError, match="two-column"):
             pair_gamma(np.zeros((50, 3)), BootstrapConfig(expected_block_length=5.0))
+
+    @pytest.mark.parametrize("rows,cap", [(19, None), (400, 19)])
+    def test_needs_twenty_rows_after_the_cap(self, rows, cap):
+        # without the check the bootstrap would stop on its own block-length
+        # rule, in terms the caller never set
+        pair = make_generator(derive_seed(80, 6)).normal(size=(rows, 2))
+        with pytest.raises(ValueError, match="at least 20 rows to calibrate, got 19"):
+            pair_gamma(pair, BootstrapConfig(expected_block_length=5.0), HsicConfig(max_rows=cap))
+
+    def test_twenty_rows_calibrate(self):
+        pair = make_generator(derive_seed(80, 7)).normal(size=(20, 2))
+        boot = BootstrapConfig(num_replicates=5, expected_block_length=5.0)
+        assert pair_gamma(pair, boot) > 0.0
 
 
 class TestDecoupledGamma:

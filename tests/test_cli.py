@@ -377,6 +377,20 @@ class TestReproduce:
         with pytest.raises(ValueError, match="calibration_block"):
             SweepConfig(paradigm="CTRNN", calibration_block=1.0)
 
+    def test_short_subsample_window_rejected_for_kernel_calibration(self):
+        with pytest.raises(ValueError, match="window_length=19"):
+            SweepConfig(paradigm="CTRNN", methods=("TPCNSHS",), window_length=19)
+        SweepConfig(paradigm="CTRNN", methods=("TPCNS", "TPCSHS"), window_length=19)
+        SweepConfig(paradigm="CTRNN", methods=("TPCNSHS",), window_length=20)
+
+    def test_short_subsample_window_is_usage_error(self, tmp_path, capsys):
+        rc = main([
+            "reproduce", "--paradigm", "LinearGaussianVAR", "--methods", "TPCNSHS",
+            "--L", "15", "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert "window_length=15" in capsys.readouterr().err
+
     def test_unknown_method_rejected(self, tmp_path, capsys):
         rc = main([
             "reproduce", "--paradigm", "CTRNN",

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tspc.citests import GaussianCiConfig
+from tspc.citests import GaussianCiConfig, HsicConfig
 from tspc.data import DataMatrix
 from tspc.evaluate import confusion, metrics
 from tspc.graphs import Pdag, RolledGraph, cpdag_of, roll, unrolled_time
-from tspc.pc import CiQueryError, PcConfig
+from tspc.pc import CiQueryError, PcConfig, pc
 from tspc.rng import derive_seed, make_generator
 from tspc.simulate import SimConfig, generate, ground_truth
 from tspc.tpc import (
@@ -63,6 +63,7 @@ class TestUnroll:
         out = unroll(data, WindowConfig(tau=1, r=1))
         np.testing.assert_array_equal(out.values, data.values)
         assert out.names() == data.names()
+        assert out is data
 
     def test_single_series_sliding_pairs(self):
         a, b, c, d, e = 3.0, 1.0, 4.0, 1.0, 5.0
@@ -111,12 +112,9 @@ class TestCalibrationRows:
         data = linvar(derive_seed(101, 0), n=200)
         window = WindowConfig(tau=2, r=2)
         unrolled = unroll(data, window).values
+        args = {"pc": (WindowConfig(tau=1, r=1),), "tpcs": (window,), "tpcns": (window, 30)}
         expected = {"pc": data.values, "tpcs": unrolled, "tpcns": unrolled[:30]}[method]
-        assert np.array_equal(calibration_rows(data, method, window, 30), expected)
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            calibration_rows(linvar(derive_seed(101, 1), n=20), "TPCS", WindowConfig(), 5)
+        assert np.array_equal(calibration_rows(data, *args[method]), expected)
 
 
 class TestTpc:
@@ -135,8 +133,17 @@ class TestTpc:
 
     def test_rolled_is_roll_of_unrolled(self):
         res = tpc(linvar(derive_seed(100, 0)), WindowConfig(tau=2, r=2), GAUSSIAN)
-        assert res.rolled == roll(res.unrolled, 4, 2)
-        assert res.pc.pdag == res.unrolled
+        assert res.rolled == roll(res.pc.pdag, 4, 2)
+
+    @pytest.mark.parametrize("config", [GAUSSIAN, PcConfig(HsicConfig(gamma=0.05, max_rows=100))],
+                             ids=["gaussian", "hsic"])
+    def test_depth_one_stride_one_is_plain_pc(self, config):
+        data = linvar(derive_seed(100, 1), n=300)
+        plain = pc(data, config)
+        res = tpc(data, WindowConfig(tau=1, r=1), config)
+        assert res.pc.decisions == plain.decisions
+        assert res.pc.pdag == plain.pdag
+        assert res.rolled == roll(plain.pdag, data.p, 1)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None, derandomize=True)
