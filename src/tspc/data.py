@@ -102,6 +102,11 @@ def ingest_csv(path: str | Path) -> DataMatrix:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such file: {path}")
+    return _ingest_rows(path)
+
+
+def _ingest_rows(path: Path) -> DataMatrix:
+    """ingest_csv one row at a time: csv cells, each converted by float()."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = [(lineno, cells) for lineno, cells in enumerate(reader, start=1) if cells]

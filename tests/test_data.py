@@ -2,10 +2,70 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tspc.data import DataMatrix, ingest_csv, write_csv, write_text_atomic
+from tspc.data import DataMatrix, _ingest_rows, ingest_csv, write_csv, write_text_atomic
+
+# Cells as write_csv and most tools write them.
+_PLAIN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+# Spellings the two parsers might read differently: Python's float() takes
+# underscores, non-ASCII digits and Unicode spaces; some overflow, underflow
+# or are not finite; some are not numbers at all.
+_ODD_TOKENS = ("1_0", "nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400",
+               "1e-400", "-0.0", "5e-324", "2.5e-310", "+3.", ".5", "1e", "", "x", "\u0661\u0662",
+               "0x10", "1d2", "1.0.0")
+_PADS = ("", " ", "  ", "\t", "\xa0", "\u3000", "\x0c")
+_ODD_CELLS = st.builds(
+    lambda pre, token, post, quoted: f'"{pre}{token}{post}"' if quoted else f"{pre}{token}{post}",
+    st.sampled_from(_PADS),
+    st.one_of(_PLAIN_CELLS, st.sampled_from(_ODD_TOKENS)),
+    st.sampled_from(_PADS),
+    st.booleans(),
+)
+_HEADER_CELLS = st.sampled_from(("x1", "flow", " rain ", "", '"a,b"', '"q"', "1", "2.5"))
+_BLANK_LINES = st.sampled_from(("", " ", "\t", "  "))
+
+
+@st.composite
+def csv_texts(draw):
+    """Small CSV files; about half plain, the rest with odd cells, blank
+    lines, lone-CR endings, quoting and a ragged last row mixed in."""
+    odd = draw(st.booleans())
+    width = draw(st.integers(1, 4))
+    cells = st.one_of(_PLAIN_CELLS, _PLAIN_CELLS, _ODD_CELLS) if odd else _PLAIN_CELLS
+    rows = [[draw(cells) for _ in range(width)] for _ in range(draw(st.integers(1, 5)))]
+    if odd and draw(st.booleans()):
+        rows[-1] = rows[-1][:-1] if draw(st.booleans()) else rows[-1] + [draw(cells)]
+    if draw(st.booleans()):
+        rows.insert(0, [draw(_HEADER_CELLS) for _ in range(width)])
+    lines = [",".join(row) for row in rows]
+    if odd:
+        for _ in range(draw(st.integers(0, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(_BLANK_LINES))
+    eol = draw(st.sampled_from(("\n", "\r\n", "\r") if odd else ("\n", "\r\n")))
+    return eol.join(lines) + (eol if draw(st.booleans()) else "")
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+def _outcome(read, path):
+    """What a reader makes of a file: its names and value bits, or its error."""
+    try:
+        d = read(path)
+    except ValueError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return ("ok", d.column_names, d.values.shape, d.values.tobytes())
 
 
 class TestDataMatrix:
@@ -103,6 +163,35 @@ class TestIngestCsv:
         assert back.names() == ("X1", "X2", "X3")
         # repr floats survive the trip bit for bit
         assert np.array_equal(back.values, d.values)
+
+
+class TestParserAgreement:
+    """ingest_csv agrees with the row-by-row parser on every file: the same
+    header, the same value bits, or the same error message."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(text=csv_texts())
+    @example(text="a,b\n1,2\n")  # a header and one row
+    @example(text="x\n1\n2\n")  # one column
+    @example(text="1,2\r\n3,4\r\n")
+    @example(text="\n\n1,2\n3,4\n\n")  # leading and trailing blank lines
+    @example(text="1,2\n  \n3,4\n")  # a whitespace-only line
+    @example(text="a,b\n1,2\n3,4\n5\n")  # a ragged last row
+    @example(text='"1.0",2\n3," 4 "\n')
+    @example(text="1_0,2\n3,4\n")
+    @example(text="a,b\n1,2\n1e400,4\n")
+    @example(text=" 1 , nan\n3,4\n")
+    @example(text="-0.0,5e-324\n3,4\n")
+    @example(text="\u0661,2\n3,4\n")
+    def test_same_outcome_as_row_parser(self, text, csv_dir):
+        path = csv_dir / "agree.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _outcome(ingest_csv, path)
+        assert [str(w.message) for w in caught] == []
+        assert got == _outcome(_ingest_rows, path)
 
 
 class TestAtomicWrite:
