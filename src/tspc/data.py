@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import os
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -97,12 +98,35 @@ def ingest_csv(path: str | Path) -> DataMatrix:
     The first row is treated as a header exactly when at least one of its
     cells does not parse as a float.  Every later row must be fully numeric
     and have the same width; violations raise ValueError naming the 1-based
-    line and column.
+    line and column.  Blank lines are skipped.
+
+    Two paths read the body.  The fast one hands it to a single np.loadtxt
+    call.  When that call fails, or reads a width or row count that cannot be
+    right, the file goes to the row-by-row parser (csv cells, each through
+    float()), which words every error and decides the inputs loadtxt rejects
+    but float() accepts: quoted cells, underscores and non-ASCII digits.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such file: {path}")
-    return _ingest_rows(path)
+    with open(path, newline="") as fh:
+        try:
+            first = next((cells for cells in csv.reader(fh) if cells), [])
+            header = None
+            if _parse_row(first) is None:
+                header = tuple(cell.strip() for cell in first)
+            else:
+                fh.seek(0)
+            with warnings.catch_warnings():
+                # An empty body warns; the row count below sends it to the slow path.
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                    dtype=np.float64)
+        except (ValueError, csv.Error):
+            values = None
+    if values is None or values.shape[1] != len(first) or len(values) < 2:
+        return _ingest_rows(path)
+    return DataMatrix(values, column_names=header)
 
 
 def _ingest_rows(path: Path) -> DataMatrix:

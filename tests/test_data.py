@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from tspc import data as data_module
 from tspc.data import DataMatrix, _ingest_rows, ingest_csv, write_csv, write_text_atomic
 
 # Cells as write_csv and most tools write them.
@@ -163,6 +165,42 @@ class TestIngestCsv:
         assert back.names() == ("X1", "X2", "X3")
         # repr floats survive the trip bit for bit
         assert np.array_equal(back.values, d.values)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(values=arrays(
+        np.float64,
+        st.tuples(st.integers(2, 6), st.integers(1, 4)),
+        elements=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from((-0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                             1.7976931348623157e308, -1.7976931348623157e308)),
+        ),
+    ))
+    @example(values=np.array([[-0.0], [5e-324]]))
+    @example(values=np.array([[1.7976931348623157e308, -1.7976931348623157e308],
+                              [-0.0, 2.2250738585072009e-308]]))
+    def test_round_trip_keeps_every_bit(self, values, csv_dir):
+        f = csv_dir / "round_trip.csv"
+        write_csv(DataMatrix(values), f)
+        back = ingest_csv(f)
+        assert back.names() == tuple(f"X{c + 1}" for c in range(values.shape[1]))
+        assert back.values.tobytes() == values.tobytes()
+
+    def test_plain_file_skips_the_row_parser(self, tmp_path, monkeypatch):
+        def row_parser(path):
+            raise AssertionError("row parser used")
+
+        f = tmp_path / "plain.csv"
+        write_csv(DataMatrix(np.arange(12.0).reshape(4, 3)), f)
+        monkeypatch.setattr(data_module, "_ingest_rows", row_parser)
+        assert ingest_csv(f).values[3, 2] == 11.0
+
+    def test_quoted_cells_read_as_numbers(self, tmp_path):
+        f = tmp_path / "quoted.csv"
+        f.write_text('"a","b"\n"1.5",2\n3," 4 "\n')
+        d = ingest_csv(f)
+        assert d.names() == ("a", "b")
+        assert d.values.tolist() == [[1.5, 2.0], [3.0, 4.0]]
 
 
 class TestParserAgreement:
