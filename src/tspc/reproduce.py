@@ -108,6 +108,10 @@ class SweepConfig:
         if "TPCNSHS" in methods and self.window_length < CALIBRATION_MIN_ROWS:
             raise ValueError(f"TPCNSHS calibrates on window_length rows, at least "
                              f"{CALIBRATION_MIN_ROWS}; got window_length={self.window_length}")
+        kernel = [m for m in methods if m.endswith("HS")]
+        if kernel and self.hsic_max_rows is not None and self.hsic_max_rows < CALIBRATION_MIN_ROWS:
+            raise ValueError(f"{kernel[0]} calibrates on at most hsic_max_rows rows, at least "
+                             f"{CALIBRATION_MIN_ROWS}; got hsic_max_rows={self.hsic_max_rows}")
 
 
 @dataclass(frozen=True)

@@ -391,6 +391,25 @@ class TestReproduce:
         assert rc == 2
         assert "window_length=15" in capsys.readouterr().err
 
+    def test_small_kernel_row_cap_rejected_for_calibration(self):
+        with pytest.raises(ValueError, match="hsic_max_rows=19"):
+            SweepConfig(paradigm="CTRNN", methods=("PC", "PCHS"), hsic_max_rows=19)
+        with pytest.raises(ValueError, match="hsic_max_rows=10"):
+            SweepConfig(paradigm="CTRNN", methods=("TPCSHS",), hsic_max_rows=10)
+        SweepConfig(paradigm="CTRNN", methods=("PC", "TPCNS"), hsic_max_rows=10)
+        SweepConfig(paradigm="CTRNN", methods=("PCHS",), hsic_max_rows=20)
+        SweepConfig(paradigm="CTRNN", methods=("PCHS",), hsic_max_rows=None)
+
+    def test_small_kernel_row_cap_is_usage_error_before_any_cell(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main([
+            "reproduce", "--paradigm", "LinearGaussianVAR", "--methods", "PC,PCHS",
+            "--hsic-max-rows", "10", "--reps", "1", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "hsic_max_rows=10" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_method_rejected(self, tmp_path, capsys):
         rc = main([
             "reproduce", "--paradigm", "CTRNN",
