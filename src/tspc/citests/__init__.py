@@ -18,6 +18,7 @@ from .gaussian import (
 from .hsic import (
     HsicConfig,
     centered_gram,
+    check_kernel_range,
     decoupled_pair_gamma,
     hsic_ci_test,
     hsic_conditional,
@@ -42,6 +43,7 @@ __all__ = [
     "sample_covariance",
     "HsicConfig",
     "centered_gram",
+    "check_kernel_range",
     "decoupled_pair_gamma",
     "hsic_ci_test",
     "hsic_conditional",

@@ -34,6 +34,7 @@ __all__ = [
     "HsicConfig",
     "median_bandwidth",
     "centered_gram",
+    "check_kernel_range",
     "hsic_conditional",
     "hsic_ci_test",
     "pair_gamma",
@@ -194,6 +195,29 @@ def _cap_rows(arr: np.ndarray, config: HsicConfig) -> np.ndarray:
     return arr
 
 
+def check_kernel_range(values: np.ndarray, config: HsicConfig = HsicConfig()) -> None:
+    """Reject columns whose kernel distances could overflow float64.
+
+    Checks the rows a kernel test of this config sees (capped at max_rows).
+    A block holds at most all p columns, so a squared pairwise distance is
+    at most p times the largest squared column range, and centered_gram
+    doubles the squared bandwidth, which is no larger.  A column with
+    2 p range^2 beyond the float64 maximum, or holding inf or nan, is named
+    (1-based) in a ValueError, as CovMatrix does for Fisher-z; otherwise no
+    Gram matrix built from these rows meets inf or nan.
+    """
+    arr = _cap_rows(np.asarray(values, dtype=np.float64), config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = np.ptp(arr, axis=0)
+        ok = 2.0 * arr.shape[1] * spread * spread <= np.finfo(np.float64).max
+    if not ok.all():
+        bad = ", ".join(str(c + 1) for c in np.flatnonzero(~ok))
+        raise ValueError(
+            f"kernel distances are not finite in column(s) {bad}: the data hold inf or "
+            "nan, or a squared pairwise distance overflows float64"
+        )
+
+
 def pair_gamma(
     pair: np.ndarray,
     boot: BootstrapConfig,
@@ -216,6 +240,7 @@ def pair_gamma(
     arr = _cap_rows(arr, config)
     if len(arr) < CALIBRATION_MIN_ROWS:
         raise ValueError(f"need at least {CALIBRATION_MIN_ROWS} rows to calibrate, got {len(arr)}")
+    check_kernel_range(arr)
     block = max(2.0, min(boot.expected_block_length, arr.shape[0] / 10.0))
     if block != boot.expected_block_length:
         boot = replace(boot, expected_block_length=block)

@@ -30,6 +30,7 @@ from .citests import (
     CiTestError,
     GaussianCiConfig,
     HsicConfig,
+    check_kernel_range,
     gaussian_ci_test,
     hsic_ci_test,
     sample_covariance,
@@ -276,6 +277,7 @@ def _make_ci(
 
         return ci
     if isinstance(test, HsicConfig):
+        check_kernel_range(values, test)
 
         def ci(query: CiQuery) -> CiOutcome:
             z = values[:, list(query.k)] if query.k else None

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from tspc.citests import (
     BootstrapConfig,
     HsicConfig,
     centered_gram,
+    check_kernel_range,
     decoupled_pair_gamma,
     hsic_ci_test,
     hsic_conditional,
@@ -17,9 +21,12 @@ from tspc.citests import (
     stationary_bootstrap_threshold,
     strided_subset,
 )
+from tspc.pc import PcConfig, pc
 from tspc.rng import derive_seed, make_generator
 
 NO_Z = np.empty((0, 0))
+# The module, which `from tspc import pc` would shadow with the function.
+pc_module = importlib.import_module("tspc.pc")
 
 
 def empty_z(n: int) -> np.ndarray:
@@ -304,6 +311,57 @@ class TestPairGamma:
         pair = make_generator(derive_seed(80, 7)).normal(size=(20, 2))
         boot = BootstrapConfig(num_replicates=5, expected_block_length=5.0)
         assert pair_gamma(pair, boot) > 0.0
+
+
+class TestCheckKernelRange:
+    def test_largest_accepted_range_keeps_the_gram_finite(self):
+        # two rows at opposite corners put every column at the bound
+        p = 4
+        top = 0.999 * np.sqrt(np.finfo(np.float64).max / (2 * p))
+        x = top * make_generator(derive_seed(82, 0)).uniform(size=(30, p))
+        x[0], x[1] = 0.0, top
+        check_kernel_range(x)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert np.isfinite(centered_gram(x)).all()
+        x[1, 1] = top / 0.998
+        with pytest.raises(ValueError, match=r"not finite in column\(s\) 2:"):
+            check_kernel_range(x)
+
+    def test_non_finite_and_overflowing_columns_named(self):
+        x = make_generator(derive_seed(82, 1)).normal(size=(30, 4))
+        x[3, 1] = np.inf
+        x[:, 3] *= 1e300
+        with pytest.raises(ValueError, match=r"not finite in column\(s\) 2, 4:"):
+            check_kernel_range(x)
+
+    def test_only_the_capped_rows_count(self):
+        # the 10-row strided subset of 30 rows is rows 0, 3, 6, ...
+        x = make_generator(derive_seed(82, 2)).normal(size=(30, 2))
+        x[1, 0] = 1e300
+        check_kernel_range(x, HsicConfig(max_rows=10))
+        with pytest.raises(ValueError, match=r"column\(s\) 1:"):
+            check_kernel_range(x)
+
+    def test_calibration_names_the_column(self):
+        pair = make_generator(derive_seed(82, 3)).normal(size=(40, 2))
+        pair[:, 0] *= 1e300
+        with pytest.raises(ValueError, match=r"not finite in column\(s\) 1:"):
+            pair_gamma(pair, BootstrapConfig(expected_block_length=5.0))
+
+    def test_search_checks_once_before_any_query(self, monkeypatch):
+        rng = make_generator(derive_seed(82, 4))
+        x = rng.normal(size=(60, 4))
+        x[:, 3] = 1e300 * rng.normal(size=60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"not finite in column\(s\) 4:"):
+                pc(x, PcConfig(HsicConfig(gamma=0.05)))
+        calls = []
+        monkeypatch.setattr(pc_module, "check_kernel_range",
+                            lambda *args: calls.append(args) or check_kernel_range(*args))
+        result = pc(x[:, :3], PcConfig(HsicConfig(gamma=0.05)))
+        assert len(result.decisions) > 1
+        assert len(calls) == 1
 
 
 class TestDecoupledGamma:

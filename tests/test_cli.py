@@ -1,6 +1,7 @@
 """End-to-end command surface: exit codes, emitted files, replayability."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,23 @@ class TestDiscover:
         record = json.loads((out / "error.json").read_text())
         assert record["type"] == "CiQueryError"
         assert "degenerate" in record["message"]
+
+    @pytest.mark.parametrize("column,code", [(4, 1), (1, 2)])
+    def test_overflowing_kernel_column_is_named(self, tmp_path, capsys, column, code):
+        # column 4 overflows in the search (a runtime error), column 1 in the
+        # calibration pair (a configuration error, like its other checks)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(60, 4))
+        x[:, column - 1] = 1e300 * rng.normal(size=60)
+        src = tmp_path / "big.csv"
+        write_csv(DataMatrix(x), src)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["discover", "--method", "pc", "--test", "hsic",
+                       "--bootstrap-replicates", "20", "--block-length", "5",
+                       "--in", str(src), "--out", str(tmp_path / "o")])
+        assert rc == code
+        assert f"kernel distances are not finite in column(s) {column}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method,flags,note", [
         ("tpcs", [], "note: conditioning sets capped at size 3"),
