@@ -200,11 +200,11 @@ def check_kernel_range(values: np.ndarray, config: HsicConfig = HsicConfig()) ->
 
     Checks the rows a kernel test of this config sees (capped at max_rows).
     A block holds at most all p columns, so a squared pairwise distance is
-    at most p times the largest squared column range, and centered_gram
-    doubles the squared bandwidth, which is no larger.  A column with
-    2 p range^2 beyond the float64 maximum, or holding inf or nan, is named
-    (1-based) in a ValueError, as CovMatrix does for Fisher-z; otherwise no
-    Gram matrix built from these rows meets inf or nan.
+    at most p times the largest squared column range; the squared bandwidth
+    is no larger, and centered_gram doubles it.  A column with 2 p range^2
+    beyond the float64 maximum, or holding inf or nan, is named (1-based) in
+    a ValueError, as CovMatrix does for Fisher-z; otherwise no Gram matrix
+    built from these rows meets inf or nan.
     """
     arr = _cap_rows(np.asarray(values, dtype=np.float64), config)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -98,7 +98,7 @@ def ingest_csv(path: str | Path) -> DataMatrix:
     The first row is treated as a header exactly when at least one of its
     cells does not parse as a float.  Every later row must be fully numeric
     and have the same width; violations raise ValueError naming the 1-based
-    line and column.  Blank lines are skipped.
+    line and column.  Empty lines are skipped.
 
     Two paths read the body.  The fast one hands it to a single np.loadtxt
     call.  When that call fails, or reads a width or row count that cannot be

@@ -57,7 +57,9 @@ class SweepConfig:
     n is the series length handed to the generator (total milliseconds for
     CTRNN).  tau and stride set the windows of the TPC methods; PC and PCHS
     always search at depth 1 and stride 1.  hsic_max_rows caps the rows any
-    single kernel test sees; None lifts the cap.
+    single kernel test sees; None lifts the cap.  Calibration sees the same
+    cap and needs CALIBRATION_MIN_ROWS rows, so any kernel (*HS) method
+    needs a cap of at least that.
     """
 
     paradigm: str
