@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from tspc.citests import (
     BootstrapConfig,
@@ -171,6 +172,78 @@ class TestStatistic:
         z = rng.normal(size=200)
         dependent = hsic_conditional(x, y, None)
         assert dependent > 10.0 * hsic_conditional(x, z, None) > 0.0
+
+
+def dense_statistic(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> float:
+    """The statistic from dense resolvents R = G (G + reg I)^{-1}, each a full solve."""
+    n = len(x)
+    reg = n * n ** (-0.25)
+
+    def resolvent(block: np.ndarray) -> np.ndarray:
+        gram = centered_gram(block)
+        solved = cho_solve(cho_factor(gram + reg * np.eye(n), lower=True), gram)
+        return (solved + solved.T) / 2.0
+
+    rx = resolvent(np.column_stack([x, z]))
+    ry = resolvent(np.column_stack([y, z]))
+    if z.shape[1] == 0:
+        return float(np.trace(ry @ rx))
+    rz = resolvent(z)
+    return float(np.trace(ry @ rx) - 2.0 * np.trace(ry @ rx @ rz)
+                 + np.trace(ry @ rz @ rx @ rz))
+
+
+def accuracy_sample(n: int, size: int, seed: int) -> tuple[np.ndarray, ...]:
+    # x and y both lean nonlinearly on the first conditioning column
+    rng = make_generator(derive_seed(90, n, size, seed))
+    z = rng.normal(size=(n, 3))
+    x = np.sin(z[:, 0]) + 0.5 * rng.normal(size=n)
+    y = z[:, 0] ** 2 + 0.5 * x + 0.5 * rng.normal(size=n)
+    return x, y, z[:, :size]
+
+
+class TestAgainstDenseResolvents:
+    """The factor form against full Cholesky solves of the centered Gram matrices."""
+
+    @staticmethod
+    def assert_close(x, y, z):
+        got = hsic_conditional(x, y, z)
+        want = dense_statistic(x, y, z)
+        assert abs(got - want) <= 1e-12 + 1e-9 * abs(want), (got, want)
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [20, 50, 400])
+    def test_matches(self, n, size):
+        self.assert_close(*accuracy_sample(n, size, 0))
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3])
+    def test_constant_column(self, size):
+        x, y, z = accuracy_sample(60, size, 1)
+        self.assert_close(np.full(60, 2.5), y, z)
+        if size:
+            z = z.copy()
+            z[:, -1] = -1.0
+            self.assert_close(x, y, z)
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3])
+    def test_mostly_tied_column(self, size):
+        # 78% of the column is exactly zero, so most pairwise distances vanish
+        x, y, z = accuracy_sample(100, size, 2)
+        tied = np.zeros(100)
+        tied[make_generator(derive_seed(91, size)).permutation(100)[:22]] = x[:22]
+        self.assert_close(tied, y, z)
+        if size:
+            z = z.copy()
+            z[:, 0] = tied
+            self.assert_close(x, y, z)
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3])
+    def test_bootstrap_resample(self, size):
+        # rows drawn with replacement repeat, so every kernel is rank-deficient
+        x, y, z = accuracy_sample(200, size, 3)
+        rows = make_generator(derive_seed(92, size)).integers(0, 200, size=200)
+        assert len(np.unique(rows)) < 150
+        self.assert_close(x[rows], y[rows], z[rows])
 
 
 class TestCiTest:

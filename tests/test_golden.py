@@ -74,6 +74,29 @@ def test_discover_decisions_match_golden_digest(tmp_path, test):
     assert sha256((out / "decisions.csv").read_bytes()) == DISCOVER_DIGESTS[test]
 
 
+# The verdict columns (i, j, k, independent) of the kernel decision logs.
+# They pin every removal and survival while leaving the last bits of the
+# statistic free, so they hold across an exact rearrangement of the kernel
+# arithmetic that re-records only the full decisions.csv digests.
+HSIC_VERDICT_DIGESTS = {
+    "pc": "834d3cfe6ed689a0c4f1cf8147e552e1d74aa20f491603d1ae346c6fd6de2894",
+    "tpcs": "631d4c90ef8714a48aec0fe79145be9f8517253dfea6c6567029577ac4cd76bd",
+}
+
+
+@pytest.mark.parametrize("method", sorted(HSIC_VERDICT_DIGESTS))
+def test_hsic_decision_verdicts_match_golden_digest(tmp_path, method):
+    src = chain_csv(tmp_path / "chain.csv")
+    out = tmp_path / "out"
+    window = ["--tau", "2", "--stride", "1"] if method == "tpcs" else []
+    rc = main(["discover", "--method", method, "--test", "hsic", *window,
+               "--in", str(src), "--out", str(out), *DISCOVER_FLAGS["hsic"]])
+    assert rc == 0
+    rows = (out / "decisions.csv").read_text().splitlines()
+    verdicts = "".join(",".join(row.split(",")[c] for c in (0, 1, 2, 5)) + "\n" for row in rows)
+    assert sha256(verdicts) == HSIC_VERDICT_DIGESTS[method]
+
+
 WINDOWED_DIGESTS = {
     ("tpcs", "gaussian"): {
         "graph.json": "796a2021134587774eeb6b89475b8f09e224d69df743bb60c5230609a79b3313",
