@@ -16,6 +16,7 @@ from .gaussian import (
     sample_covariance,
 )
 from .hsic import (
+    ColumnFactors,
     HsicConfig,
     centered_gram,
     check_kernel_range,
@@ -41,6 +42,7 @@ __all__ = [
     "gaussian_gamma",
     "partial_correlation",
     "sample_covariance",
+    "ColumnFactors",
     "HsicConfig",
     "centered_gram",
     "check_kernel_range",

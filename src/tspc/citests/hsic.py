@@ -8,14 +8,29 @@ z, the value is
     Tr[ R_(y,z) R_(x,z) - 2 R_(y,z) R_(x,z) R_z + R_(y,z) R_z R_(x,z) R_z ],
 
 which tends to zero exactly under conditional independence as the sample
-grows and the regularizer eps_n = n^(-1/4) decays.  Every Gram matrix comes
-from centered_gram, whose kernel bandwidth is the block's median pairwise
-distance (the median positive distance when most pairs are tied).  An empty
-conditioning set drops the R_z terms (R_z is the zero map) and the value
-reduces to the unconditional dependence criterion Tr[R_y R_x]; a constant
-conditioning block has the zero Gram matrix and gives the same value.
+grows and the regularizer eps_n = n^(-1/4) decays.  Every kernel uses the
+block's median pairwise distance as its bandwidth (the median positive
+distance when most pairs are tied).  An empty conditioning set drops the R_z
+terms (R_z is the zero map) and the value reduces to the unconditional
+dependence criterion Tr[R_y R_x]; a constant conditioning block has the zero
+Gram matrix and gives the same value.
+
+No n x n resolvent is formed.  A pivoted Cholesky factor K = F F^T of each
+block's kernel stops once no pivot exceeds 1e-12, so the part it drops is
+positive semidefinite with trace at most 1e-12 n (the kernel's diagonal is
+1); a block of rank n gets an exact Cholesky factor.  Centering the columns
+of F gives G = L L^T, and the push-through identity (Bach and Jordan, Kernel
+independent component analysis, JMLR 2002) gives R = V V^T with
+V = L C^{-T}, C C^T = L^T L + n eps_n I, which is m x m for a rank m.  Each
+trace term is then a product of small matrices V_a^T V_b.  The centered Gram
+matrices of one- and two-column blocks at a few hundred rows have ranks of
+about 20 and 100.  centered_gram still builds the dense G, from the same
+kernel, for callers that want it.
+
 hsic_conditional shapes and checks the inputs; hsic_ci_test only caps rows
-and applies the threshold.
+and applies the threshold.  A search builds one ColumnFactors for its sample,
+which caps the rows once and keeps each single column's factor for the whole
+search.
 """
 
 from __future__ import annotations
@@ -24,13 +39,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.linalg import lapack
 from scipy.spatial.distance import pdist, squareform
 
-from .base import CiOutcome, CiTestError
+from .base import CiOutcome
 from .bootstrap import BootstrapConfig, stationary_bootstrap_threshold
 
 __all__ = [
     "CALIBRATION_MIN_ROWS",
+    "ColumnFactors",
     "HsicConfig",
     "median_bandwidth",
     "centered_gram",
@@ -44,6 +61,10 @@ __all__ = [
 # The regularizer is eps_n = n^(-_EPS_EXPONENT).  Consistency of the statistic
 # needs eps_n -> 0 and n eps_n^3 -> infinity, that is an exponent in (0, 1/3).
 _EPS_EXPONENT = 0.25
+
+# The pivoted Cholesky factor of a kernel stops at the first pivot at most
+# this; the kernel's diagonal is 1, so the dropped trace is at most this * n.
+_PIVOT_TOL = 1e-12
 
 # pair_gamma's row minimum: ten bootstrap rows per block of at least 2 rows.
 CALIBRATION_MIN_ROWS = 20
@@ -85,51 +106,121 @@ def median_bandwidth(samples: np.ndarray) -> float:
     return float(np.median(pdist(arr)))
 
 
-def centered_gram(samples: np.ndarray) -> np.ndarray:
-    """Doubly centered Gaussian-kernel Gram matrix of the sample block.
+def _kernel(arr: np.ndarray) -> np.ndarray | None:
+    """Condensed Gaussian-kernel values of the row pairs (pdist order).
 
     The kernel is k(a, b) = exp(-||a - b||^2 / (2 h^2)) with h the median
-    pairwise distance.  Centering removes row, column, and grand means, so
-    the result has zero row sums and is positive semidefinite up to rounding.
-
-    When more than half of the pairs are tied (a column that is mostly one
-    value) the median distance is zero, and h is the median of the positive
-    distances instead.  Only a block whose rows are all identical gives the
-    zero matrix.  That is exact: any positive bandwidth gives the all-ones
-    kernel, which centers to zero, so a constant conditioning block behaves
-    exactly like no conditioning.
+    pairwise distance, or the median positive distance when more than half of
+    the pairs are tied.  None when every row is identical.
     """
-    arr = _as_block(samples)
     sq = pdist(arr, "sqeuclidean")
     dist = np.sqrt(sq)
     h = float(np.median(dist))
     if h == 0.0:
         positive = dist[dist > 0.0]
         if positive.size == 0:
-            return np.zeros((len(arr), len(arr)))
+            return None
         h = float(np.median(positive))
-    gram = np.exp(-squareform(sq) / (2.0 * h * h))
+    return np.exp(-sq / (2.0 * h * h))
+
+
+def _full_kernel(condensed: np.ndarray) -> np.ndarray:
+    kernel = squareform(condensed)
+    np.fill_diagonal(kernel, 1.0)
+    return kernel
+
+
+def centered_gram(samples: np.ndarray) -> np.ndarray:
+    """Doubly centered Gaussian-kernel Gram matrix of the sample block.
+
+    The kernel and its bandwidth are the statistic's (see _kernel).
+    Centering removes row, column, and grand means, so the result has zero
+    row sums and is positive semidefinite up to rounding.
+
+    Only a block whose rows are all identical gives the zero matrix.  That is
+    exact: any positive bandwidth gives the all-ones kernel, which centers to
+    zero, so a constant conditioning block behaves exactly like no
+    conditioning.
+    """
+    arr = _as_block(samples)
+    condensed = _kernel(arr)
+    if condensed is None:
+        return np.zeros((len(arr), len(arr)))
+    gram = _full_kernel(condensed)
     row = gram.mean(axis=0, keepdims=True)
     col = gram.mean(axis=1, keepdims=True)
     grand = gram.mean()
     return gram - row - col + grand
 
 
-def _resolvent(gram: np.ndarray, reg: float) -> np.ndarray:
-    """R = G (G + reg I)^{-1}, symmetrized against rounding.
+def _factor(arr: np.ndarray, reg: float) -> np.ndarray:
+    """V (n x m) with V V^T = G (G + reg I)^{-1} for the block's centered Gram G.
 
-    G + reg I is symmetric positive definite (G is PSD up to rounding and
-    reg > 0 dominates), so a Cholesky solve is safe; since the shift
-    commutes with G the product is symmetric in exact arithmetic.
+    A block whose rows are all identical has G = 0 and gives an n x 0 factor.
     """
-    n = gram.shape[0]
-    shifted = gram + reg * np.eye(n)
-    try:
-        factor = sla.cho_factor(shifted, lower=True)
-    except sla.LinAlgError:
-        raise CiTestError("Gram regularization failed to produce a definite system") from None
-    solved = sla.cho_solve(factor, gram)
-    return (solved + solved.T) / 2.0
+    n = len(arr)
+    condensed = _kernel(arr)
+    if condensed is None:
+        return np.zeros((n, 0))
+    packed, piv, rank, _ = lapack.dpstrf(_full_kernel(condensed), tol=_PIVOT_TOL,
+                                         lower=1, overwrite_a=1)
+    # dpstrf factors K[piv, piv] = L L^T, so row piv[a] of K's factor is row a of L.
+    low = np.empty((n, rank))
+    low[piv - 1] = np.tril(packed[:, :rank])
+    low -= low.mean(axis=0)
+    inner = low.T @ low
+    inner[np.diag_indices(rank)] += reg
+    chol = sla.cholesky(inner, lower=True, check_finite=False)
+    return sla.solve_triangular(chol, low.T, lower=True, check_finite=False).T
+
+
+def _statistic(vx: np.ndarray, vy: np.ndarray, vz: np.ndarray | None) -> float:
+    """The statistic from the factors of the blocks (x, z), (y, z) and z.
+
+    With R_U = V_U V_U^T the three traces are ||V_y^T V_x||^2,
+    Tr[(V_z^T V_y)(V_y^T V_x)(V_x^T V_z)] and ||(V_y^T V_z)(V_z^T V_x)||^2.
+    """
+    yx = vy.T @ vx
+    term1 = float(np.sum(yx * yx))
+    if vz is None:
+        return term1
+    zy = vz.T @ vy
+    xz = vx.T @ vz
+    term2 = float(np.einsum("ij,ji->", zy @ yx, xz))
+    yzx = zy.T @ xz.T
+    return term1 - 2.0 * term2 + float(np.sum(yzx * yzx))
+
+
+class ColumnFactors:
+    """The statistic for queries (i, j | k) on the columns of one sample.
+
+    Rows are capped once, to the strided subset hsic_ci_test would take.  The
+    factor of each single column is kept for the life of the object: those
+    are the unconditional endpoints and the one-column conditioning sets a
+    search asks for again and again.  A block of two or more columns is
+    factored per query, so what is kept stays within p * n * rank.
+    """
+
+    def __init__(self, values: np.ndarray, config: HsicConfig = HsicConfig()) -> None:
+        self._values = _cap_rows(np.asarray(values, dtype=np.float64), config)
+        n = len(self._values)
+        if n < 4:
+            raise ValueError(f"need at least 4 rows, got {n}")
+        self._reg = n * n ** (-_EPS_EXPONENT)
+        self._single: dict[int, np.ndarray] = {}
+
+    def _block(self, columns: tuple[int, ...]) -> np.ndarray:
+        if len(columns) > 1:
+            return _factor(self._values[:, columns], self._reg)
+        (c,) = columns
+        if c not in self._single:
+            self._single[c] = _factor(self._values[:, columns], self._reg)
+        return self._single[c]
+
+    def statistic(self, i: int, j: int, k: tuple[int, ...] = ()) -> float:
+        if not k:
+            return _statistic(self._block((i,)), self._block((j,)), None)
+        return _statistic(self._block((i, *k)), self._block((j, *k)), self._block(k))
 
 
 def hsic_conditional(
@@ -141,8 +232,8 @@ def hsic_conditional(
 
     x and y are single columns; z is a vector, a column block, or None or
     any size-0 array for no conditioning.  The augmented blocks (x, z) and
-    (y, z) each pick their own median bandwidth.  The value is nonnegative up
-    to rounding of order 1e-8 and is exactly symmetric in x and y.
+    (y, z) each pick their own median bandwidth.  The value is nonnegative
+    and symmetric in x and y, both up to rounding.
     """
     xa = _as_block(x)
     ya = _as_block(y)
@@ -151,35 +242,11 @@ def hsic_conditional(
     n = xa.shape[0]
     if ya.shape[0] != n:
         raise ValueError(f"x has {n} rows but y has {ya.shape[0]}")
-    if n < 4:
-        raise ValueError(f"need at least 4 rows, got {n}")
-    za = None if z is None or np.size(z) == 0 else _as_block(z)
-    if za is not None and za.shape[0] != n:
+    za = np.empty((n, 0)) if z is None or np.size(z) == 0 else _as_block(z)
+    if za.shape[0] != n:
         raise ValueError(f"x has {n} rows but z has {za.shape[0]}")
-
-    reg = n * n ** (-_EPS_EXPONENT)
-    if za is None:
-        gx = centered_gram(xa)
-        gy = centered_gram(ya)
-    else:
-        gx = centered_gram(np.hstack([xa, za]))
-        gy = centered_gram(np.hstack([ya, za]))
-    rx = _resolvent(gx, reg)
-    ry = _resolvent(gy, reg)
-
-    # trace(A @ B) without forming the product.
-    def trace_prod(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.einsum("ij,ji->", a, b))
-
-    term1 = trace_prod(ry, rx)
-    if za is None:
-        return term1
-    gz = centered_gram(za)
-    rz = _resolvent(gz, reg)
-    ryx = ry @ rx
-    term2 = trace_prod(ryx, rz)
-    term3 = trace_prod(ry @ rz, rx @ rz)
-    return term1 - 2.0 * term2 + term3
+    k = tuple(range(2, 2 + za.shape[1]))
+    return ColumnFactors(np.hstack([xa, ya, za])).statistic(0, 1, k)
 
 
 def strided_subset(n: int, max_rows: int) -> np.ndarray:

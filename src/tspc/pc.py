@@ -28,11 +28,11 @@ from .citests import (
     CiOutcome,
     CiQuery,
     CiTestError,
+    ColumnFactors,
     GaussianCiConfig,
     HsicConfig,
     check_kernel_range,
     gaussian_ci_test,
-    hsic_ci_test,
     sample_covariance,
 )
 from .data import DataMatrix
@@ -278,10 +278,11 @@ def _make_ci(
         return ci
     if isinstance(test, HsicConfig):
         check_kernel_range(values, test)
+        # Rows capped once and single-column factors kept for this search.
+        factors = ColumnFactors(values, test)
 
         def ci(query: CiQuery) -> CiOutcome:
-            z = values[:, list(query.k)] if query.k else None
-            return hsic_ci_test(values[:, query.i], values[:, query.j], z, test)
+            return CiOutcome.decide(factors.statistic(query.i, query.j, query.k), test.gamma)
 
         return ci
     return oracle_ci(test)
