@@ -9,6 +9,7 @@ headers and error messages are 1-based (``X1 .. Xp``); in-memory indices are
 from __future__ import annotations
 
 import csv
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -97,14 +98,15 @@ def ingest_csv(path: str | Path) -> DataMatrix:
 
     The first row is treated as a header exactly when at least one of its
     cells does not parse as a float.  Every later row must be fully numeric
-    and have the same width; violations raise ValueError naming the 1-based
-    line and column.  Empty lines are skipped.
+    and finite and have the same width; violations raise ValueError naming
+    the 1-based line and column.  Empty lines are skipped.
 
     Two paths read the body.  The fast one hands it to a single np.loadtxt
     call.  When that call fails, or reads a width or row count that cannot be
-    right, the file goes to the row-by-row parser (csv cells, each through
-    float()), which words every error and decides the inputs loadtxt rejects
-    but float() accepts: quoted cells, underscores and non-ASCII digits.
+    right, or a value that is not finite, the file goes to the row-by-row
+    parser (csv cells, each through float()), which words every error and
+    decides the inputs loadtxt rejects but float() accepts: quoted cells,
+    underscores and non-ASCII digits.
     """
     path = Path(path)
     if not path.is_file():
@@ -126,14 +128,21 @@ def ingest_csv(path: str | Path) -> DataMatrix:
             values = None
     if values is None or values.shape[1] != len(first) or len(values) < 2:
         return _ingest_rows(path)
-    return DataMatrix(values, column_names=header)
+    try:
+        return DataMatrix(values, column_names=header)
+    except ValueError:
+        # A non-finite cell: the row parser names its line and column.
+        return _ingest_rows(path)
 
 
 def _ingest_rows(path: Path) -> DataMatrix:
     """ingest_csv one row at a time: csv cells, each converted by float()."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = [(lineno, cells) for lineno, cells in enumerate(reader, start=1) if cells]
+        try:
+            rows = [(lineno, cells) for lineno, cells in enumerate(reader, start=1) if cells]
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
 
@@ -163,6 +172,11 @@ def _ingest_rows(path: Path) -> DataMatrix:
                         f"{path}: line {lineno}, column {col}: "
                         f"not a number: {cell!r}"
                     ) from None
+        for col, value in enumerate(values, start=1):  # type: ignore[arg-type]
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path}: line {lineno}, column {col}: non-finite value: {cells[col - 1]!r}"
+                )
         parsed.append(values)  # type: ignore[arg-type]
 
     if len(parsed) < 2:

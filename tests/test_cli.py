@@ -119,6 +119,13 @@ class TestDiscover:
         assert rc == 2
         assert "nope.csv" in capsys.readouterr().err
 
+    def test_oversized_field_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "wide.csv"
+        data.write_text('a,b\n"1",2\n3,' + "4" * 140_000 + "\n5,6\n")
+        rc = main(["discover", "--method", "pc", "--in", str(data), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "wide.csv: line 3: field larger than field limit" in capsys.readouterr().err
+
     def test_oracle_requires_truth(self, tmp_path, capsys):
         data = chain_csv(tmp_path / "chain.csv")
         rc = main([

@@ -156,6 +156,22 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match="line 3, column 2"):
             ingest_csv(f)
 
+    @pytest.mark.parametrize("cell", ["1e400", "-inf", "nan"])
+    def test_non_finite_cell_names_file_line_and_column(self, tmp_path, cell):
+        f = tmp_path / "inf.csv"
+        f.write_text(f"a,b\n1,2\n{cell},4\n")
+        with pytest.raises(ValueError) as err:
+            ingest_csv(f)
+        assert str(err.value) == f"{f}: line 3, column 1: non-finite value: {cell!r}"
+
+    def test_oversized_field_names_line(self, tmp_path):
+        # the quoted cell sends the file to the row parser, whose csv reader
+        # refuses a field beyond its 131,072-character limit
+        f = tmp_path / "wide.csv"
+        f.write_text('a,b\n"1",2\n3,' + "4" * 140_000 + "\n5,6\n")
+        with pytest.raises(ValueError, match=r"wide\.csv: line 3: field larger than field limit"):
+            ingest_csv(f)
+
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         d = DataMatrix(rng.normal(size=(7, 3)))
