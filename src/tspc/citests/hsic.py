@@ -106,6 +106,22 @@ def median_bandwidth(samples: np.ndarray) -> float:
     return float(np.median(pdist(arr)))
 
 
+def _median_root(sq: np.ndarray) -> float:
+    """np.median(np.sqrt(sq)), bit for bit, from one partition of sq.
+
+    sqrt is monotone, so the middle order statistics of the roots are the
+    roots of those of sq.  For an even count np.median partitions at two
+    points, several times slower than one partition and a max of its lower
+    part.
+    """
+    k = len(sq) // 2
+    part = np.partition(sq, k)
+    upper = np.sqrt(part[k])
+    if len(sq) % 2:
+        return float(upper)
+    return float((np.sqrt(part[:k].max()) + upper) / 2.0)
+
+
 def _kernel(arr: np.ndarray) -> np.ndarray | None:
     """Condensed Gaussian-kernel values of the row pairs (pdist order).
 
@@ -114,14 +130,15 @@ def _kernel(arr: np.ndarray) -> np.ndarray | None:
     the pairs are tied.  None when every row is identical.
     """
     sq = pdist(arr, "sqeuclidean")
-    dist = np.sqrt(sq)
-    h = float(np.median(dist))
+    h = _median_root(sq)
     if h == 0.0:
-        positive = dist[dist > 0.0]
+        positive = sq[sq > 0.0]
         if positive.size == 0:
             return None
-        h = float(np.median(positive))
-    return np.exp(-sq / (2.0 * h * h))
+        h = _median_root(positive)
+    # exp(-sq / (2 h^2)), in place
+    np.divide(sq, -2.0 * h * h, out=sq)
+    return np.exp(sq, out=sq)
 
 
 def _full_kernel(condensed: np.ndarray) -> np.ndarray:
@@ -162,7 +179,9 @@ def _factor(arr: np.ndarray, reg: float) -> np.ndarray:
     condensed = _kernel(arr)
     if condensed is None:
         return np.zeros((n, 0))
-    packed, piv, rank, _ = lapack.dpstrf(_full_kernel(condensed), tol=_PIVOT_TOL,
+    # The kernel is symmetric, so its transpose is the same matrix in the
+    # Fortran order LAPACK overwrites without a copy.
+    packed, piv, rank, _ = lapack.dpstrf(_full_kernel(condensed).T, tol=_PIVOT_TOL,
                                          lower=1, overwrite_a=1)
     # dpstrf factors K[piv, piv] = L L^T, so row piv[a] of K's factor is row a of L.
     low = np.empty((n, rank))
@@ -233,7 +252,9 @@ def hsic_conditional(
     x and y are single columns; z is a vector, a column block, or None or
     any size-0 array for no conditioning.  The augmented blocks (x, z) and
     (y, z) each pick their own median bandwidth.  The value is nonnegative
-    and symmetric in x and y, both up to rounding.
+    and symmetric in x and y, both up to rounding.  Values that are not
+    finite, or whose distances could overflow, are rejected by
+    check_kernel_range, which counts x, y and z as columns 1, 2, 3, ...
     """
     xa = _as_block(x)
     ya = _as_block(y)
@@ -245,8 +266,9 @@ def hsic_conditional(
     za = np.empty((n, 0)) if z is None or np.size(z) == 0 else _as_block(z)
     if za.shape[0] != n:
         raise ValueError(f"x has {n} rows but z has {za.shape[0]}")
-    k = tuple(range(2, 2 + za.shape[1]))
-    return ColumnFactors(np.hstack([xa, ya, za])).statistic(0, 1, k)
+    values = np.hstack([xa, ya, za])
+    check_kernel_range(values)
+    return ColumnFactors(values).statistic(0, 1, tuple(range(2, values.shape[1])))
 
 
 def strided_subset(n: int, max_rows: int) -> np.ndarray:

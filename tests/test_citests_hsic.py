@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
+from scipy.spatial.distance import pdist, squareform
 
 from tspc.citests import (
     BootstrapConfig,
@@ -85,6 +86,23 @@ class TestCenteredGram:
         g = centered_gram(np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
         assert g[4, 4] > 0.0
         assert np.allclose(g.sum(axis=0), 0.0)
+
+    @pytest.mark.parametrize("n", [7, 8, 400])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_kernel_bandwidth_is_the_median_rule_bit_for_bit(self, n, tied):
+        # 21 and 28 pairs cover an odd and an even median; 78% tied rows
+        # leave more than half of the pairs at distance zero from n = 8 on
+        x = make_generator(derive_seed(93, n)).normal(size=(n, 2))
+        if tied:
+            x[: int(0.78 * n)] = 0.0
+        dist = pdist(x)
+        h = np.median(dist)
+        if h == 0.0:
+            h = np.median(dist[dist > 0.0])
+        kernel = np.exp(-squareform(pdist(x, "sqeuclidean")) / (2.0 * h * h))
+        reference = (kernel - kernel.mean(axis=0, keepdims=True)
+                     - kernel.mean(axis=1, keepdims=True) + kernel.mean())
+        assert np.array_equal(centered_gram(x), reference)
 
     def test_median_bandwidth_is_median_distance(self):
         pts = np.array([[0.0], [1.0], [3.0]])
@@ -414,6 +432,13 @@ class TestCheckKernelRange:
         check_kernel_range(x, HsicConfig(max_rows=10))
         with pytest.raises(ValueError, match=r"column\(s\) 1:"):
             check_kernel_range(x)
+
+    def test_statistic_rejects_non_finite_input(self):
+        # x, y and z count as columns 1, 2 and 3 of the checked block
+        x, y, z = make_generator(derive_seed(82, 5)).normal(size=(3, 40))
+        z[7] = np.nan
+        with pytest.raises(ValueError, match=r"not finite in column\(s\) 3:"):
+            hsic_conditional(x, y, z)
 
     def test_calibration_names_the_column(self):
         pair = make_generator(derive_seed(82, 3)).normal(size=(40, 2))
