@@ -236,7 +236,7 @@ class ColumnFactors:
             self._single[c] = _factor(self._values[:, columns], self._reg)
         return self._single[c]
 
-    def statistic(self, i: int, j: int, k: tuple[int, ...] = ()) -> float:
+    def statistic(self, i: int, j: int, k: tuple[int, ...]) -> float:
         if not k:
             return _statistic(self._block((i,)), self._block((j,)), None)
         return _statistic(self._block((i, *k)), self._block((j, *k)), self._block(k))
