@@ -320,7 +320,6 @@ class TestCiTest:
         cfg = HsicConfig(gamma=0.05, max_rows=max_rows)
         assert hsic_ci_test(x, y, z, cfg) == hsic_ci_test(x, y, z[:, None], cfg)
 
-    @pytest.mark.slow
     def test_null_coverage_with_calibrated_gamma(self):
         # independent pairs accepted at roughly the quantile level; the
         # block bootstrap leans conservative, so the rate sits at the top
@@ -335,7 +334,6 @@ class TestCiTest:
             accepted += hsic_ci_test(x, y, empty_z(n), HsicConfig(gamma=gamma)).independent
         assert accepted >= 180  # >= 90% of 200
 
-    @pytest.mark.slow
     def test_sine_dependence_rejected_with_calibrated_gamma(self):
         n = 150
         rejected = 0
@@ -348,7 +346,6 @@ class TestCiTest:
             rejected += not hsic_ci_test(x, y, empty_z(n), HsicConfig(gamma=gamma)).independent
         assert rejected >= 190  # >= 95% of 200
 
-    @pytest.mark.slow
     def test_lagged_nonlinear_pair_detected(self):
         # nonlinear lagged driver pair: kernel statistic clears a gamma
         # calibrated on an independent reference of the same length
