@@ -364,6 +364,20 @@ class TestCiTest:
             detected += not out.independent
         assert detected >= 20  # >= 80% of 25 seeds
 
+    @pytest.mark.parametrize("max_rows", [None, 120])
+    def test_search_decisions_equal_single_queries(self, max_rows):
+        # a search and hsic_ci_test must cap and check the same rows: every
+        # decision of the search, at every conditioning level, is the single
+        # query's statistic bit for bit and its verdict
+        x = make_generator(derive_seed(83, 0)).normal(size=(300, 5))
+        cfg = HsicConfig(gamma=1e-6, max_rows=max_rows)
+        decisions = pc(x, PcConfig(cfg)).decisions
+        assert max(len(d.k) for d in decisions) == 3
+        for d in decisions:
+            z = x[:, list(d.k)] if d.k else None
+            single = hsic_ci_test(x[:, d.i], x[:, d.j], z, cfg)
+            assert (single.statistic, single.independent) == (d.statistic, d.independent)
+
 
 class TestPairGamma:
     def test_bootstrap_of_capped_pair_with_clamped_block(self):
