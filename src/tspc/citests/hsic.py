@@ -24,13 +24,12 @@ independent component analysis, JMLR 2002) gives R = V V^T with
 V = L C^{-T}, C C^T = L^T L + n eps_n I, which is m x m for a rank m.  Each
 trace term is then a product of small matrices V_a^T V_b.  The centered Gram
 matrices of one- and two-column blocks at a few hundred rows have ranks of
-about 20 and 100.  centered_gram still builds the dense G, from the same
-kernel, for callers that want it.
+about 20 and 100.  centered_gram builds the dense G from the same kernel;
+it is the reference the tests compare the factors against.
 
-hsic_conditional shapes and checks the inputs; hsic_ci_test only caps rows
-and applies the threshold.  A search builds one ColumnFactors for its sample,
-which caps the rows once and keeps each single column's factor for the whole
-search.
+Every statistic comes from a ColumnFactors, which caps the rows and checks
+their range.  A search builds one and keeps single-column factors for its
+life; hsic_conditional and hsic_ci_test build one per query.
 """
 
 from __future__ import annotations
@@ -213,7 +212,8 @@ def _statistic(vx: np.ndarray, vy: np.ndarray, vz: np.ndarray | None) -> float:
 class ColumnFactors:
     """The statistic for queries (i, j | k) on the columns of one sample.
 
-    Rows are capped once, to the strided subset hsic_ci_test would take.  The
+    Rows are capped once, to the strided subset of config.max_rows rows, and
+    pass check_kernel_range before the 4-row minimum applies.  The
     factor of each single column is kept for the life of the object: those
     are the unconditional endpoints and the one-column conditioning sets a
     search asks for again and again.  A block of two or more columns is
@@ -222,6 +222,7 @@ class ColumnFactors:
 
     def __init__(self, values: np.ndarray, config: HsicConfig = HsicConfig()) -> None:
         self._values = _cap_rows(np.asarray(values, dtype=np.float64), config)
+        check_kernel_range(self._values)
         n = len(self._values)
         if n < 4:
             raise ValueError(f"need at least 4 rows, got {n}")
@@ -242,6 +243,21 @@ class ColumnFactors:
         return _statistic(self._block((i, *k)), self._block((j, *k)), self._block(k))
 
 
+def _stack_query(x: np.ndarray, y: np.ndarray, z: np.ndarray | None) -> np.ndarray:
+    """The matrix [x, y, z] of one query, shaped as hsic_conditional says."""
+    xa = _as_block(x)
+    ya = _as_block(y)
+    if xa.shape[1] != 1 or ya.shape[1] != 1:
+        raise ValueError("x and y must be single columns")
+    n = xa.shape[0]
+    if ya.shape[0] != n:
+        raise ValueError(f"x has {n} rows but y has {ya.shape[0]}")
+    za = np.empty((n, 0)) if z is None or np.size(z) == 0 else _as_block(z)
+    if za.shape[0] != n:
+        raise ValueError(f"x has {n} rows but z has {za.shape[0]}")
+    return np.hstack([xa, ya, za])
+
+
 def hsic_conditional(
     x: np.ndarray,
     y: np.ndarray,
@@ -256,18 +272,7 @@ def hsic_conditional(
     finite, or whose distances could overflow, are rejected by
     check_kernel_range, which counts x, y and z as columns 1, 2, 3, ...
     """
-    xa = _as_block(x)
-    ya = _as_block(y)
-    if xa.shape[1] != 1 or ya.shape[1] != 1:
-        raise ValueError("x and y must be single columns")
-    n = xa.shape[0]
-    if ya.shape[0] != n:
-        raise ValueError(f"x has {n} rows but y has {ya.shape[0]}")
-    za = np.empty((n, 0)) if z is None or np.size(z) == 0 else _as_block(z)
-    if za.shape[0] != n:
-        raise ValueError(f"x has {n} rows but z has {za.shape[0]}")
-    values = np.hstack([xa, ya, za])
-    check_kernel_range(values)
+    values = _stack_query(x, y, z)
     return ColumnFactors(values).statistic(0, 1, tuple(range(2, values.shape[1])))
 
 
@@ -284,18 +289,19 @@ def _cap_rows(arr: np.ndarray, config: HsicConfig) -> np.ndarray:
     return arr
 
 
-def check_kernel_range(values: np.ndarray, config: HsicConfig = HsicConfig()) -> None:
+def check_kernel_range(values: np.ndarray) -> None:
     """Reject columns whose kernel distances could overflow float64.
 
-    Checks the rows a kernel test of this config sees (capped at max_rows).
-    A block holds at most all p columns, so a squared pairwise distance is
-    at most p times the largest squared column range; the squared bandwidth
+    Checks exactly the rows given: those ColumnFactors keeps, and the whole
+    capped pair of pair_gamma, whose resamples can miss a faulty row.  A
+    block holds at most all p columns, so a squared pairwise distance is at
+    most p times the largest squared column range; the squared bandwidth
     is no larger, and centered_gram doubles it.  A column with 2 p range^2
     beyond the float64 maximum, or holding inf or nan, is named (1-based) in
     a ValueError, as CovMatrix does for Fisher-z; otherwise no Gram matrix
     built from these rows meets inf or nan.
     """
-    arr = _cap_rows(np.asarray(values, dtype=np.float64), config)
+    arr = np.asarray(values, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         spread = np.ptp(arr, axis=0)
         ok = 2.0 * arr.shape[1] * spread * spread <= np.finfo(np.float64).max
@@ -368,16 +374,11 @@ def hsic_ci_test(
 ) -> CiOutcome:
     """Decide one query: the statistic against the fixed threshold config.gamma.
 
-    With config.max_rows set, every input with as many rows as x is cut to
-    the same strided subset; hsic_conditional shapes and checks the rest.
+    The inputs are shaped as for hsic_conditional; ColumnFactors caps their
+    rows at config.max_rows and checks their range, as it does for a search.
     """
     if config.gamma is None:
         raise ValueError("hsic_ci_test needs a fixed threshold: set HsicConfig.gamma")
-    n = len(x)
-    if config.max_rows is not None and n > config.max_rows:
-        rows = strided_subset(n, config.max_rows)
-        # An empty z (np.empty(0) has no rows to index) or an input with the
-        # wrong row count passes through uncut, to no conditioning or to the
-        # row-count error of hsic_conditional.
-        x, y, z = (a if a is None or len(a) != n else np.asarray(a)[rows] for a in (x, y, z))
-    return CiOutcome.decide(hsic_conditional(x, y, z), config.gamma)
+    values = _stack_query(x, y, z)
+    stat = ColumnFactors(values, config).statistic(0, 1, tuple(range(2, values.shape[1])))
+    return CiOutcome.decide(stat, config.gamma)

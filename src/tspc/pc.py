@@ -31,7 +31,6 @@ from .citests import (
     ColumnFactors,
     GaussianCiConfig,
     HsicConfig,
-    check_kernel_range,
     gaussian_ci_test,
     sample_covariance,
 )
@@ -277,8 +276,7 @@ def _make_ci(
 
         return ci
     if isinstance(test, HsicConfig):
-        check_kernel_range(values, test)
-        # Rows capped once and single-column factors kept for this search.
+        # Rows capped and checked once, single-column factors kept, per search.
         factors = ColumnFactors(values, test)
 
         def ci(query: CiQuery) -> CiOutcome:

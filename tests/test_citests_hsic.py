@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib
 import warnings
 
 import numpy as np
@@ -10,8 +9,10 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import pdist, squareform
 
+from tspc.citests import hsic as hsic_module
 from tspc.citests import (
     BootstrapConfig,
+    ColumnFactors,
     HsicConfig,
     centered_gram,
     check_kernel_range,
@@ -27,8 +28,6 @@ from tspc.pc import PcConfig, pc
 from tspc.rng import derive_seed, make_generator
 
 NO_Z = np.empty((0, 0))
-# The module, which `from tspc import pc` would shadow with the function.
-pc_module = importlib.import_module("tspc.pc")
 
 
 def empty_z(n: int) -> np.ndarray:
@@ -440,9 +439,9 @@ class TestCheckKernelRange:
         # the 10-row strided subset of 30 rows is rows 0, 3, 6, ...
         x = make_generator(derive_seed(82, 2)).normal(size=(30, 2))
         x[1, 0] = 1e300
-        check_kernel_range(x, HsicConfig(max_rows=10))
+        ColumnFactors(x, HsicConfig(max_rows=10))
         with pytest.raises(ValueError, match=r"column\(s\) 1:"):
-            check_kernel_range(x)
+            ColumnFactors(x)
 
     def test_statistic_rejects_non_finite_input(self):
         # x, y and z count as columns 1, 2 and 3 of the checked block
@@ -466,7 +465,7 @@ class TestCheckKernelRange:
             with pytest.raises(ValueError, match=r"not finite in column\(s\) 4:"):
                 pc(x, PcConfig(HsicConfig(gamma=0.05)))
         calls = []
-        monkeypatch.setattr(pc_module, "check_kernel_range",
+        monkeypatch.setattr(hsic_module, "check_kernel_range",
                             lambda *args: calls.append(args) or check_kernel_range(*args))
         result = pc(x[:, :3], PcConfig(HsicConfig(gamma=0.05)))
         assert len(result.decisions) > 1
