@@ -143,6 +143,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, commands
 
 
+_BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+                  "0": False, "false": False, "no": False, "off": False}
+
+
 def _parse_config_file(path: str, command_parser: argparse.ArgumentParser) -> dict[str, object]:
     """Read key=value lines, validating keys against the command's flags."""
     file = Path(path)
@@ -165,7 +169,11 @@ def _parse_config_file(path: str, command_parser: argparse.ArgumentParser) -> di
         if isinstance(action, argparse.BooleanOptionalAction) or (
             action.nargs == 0 and action.const is not None
         ):
-            overrides[dest] = value.lower() in ("1", "true", "yes", "on")
+            if value.lower() not in _BOOLEAN_WORDS:
+                raise CliError(
+                    f"{file}: line {lineno}: bad value {value!r} for {key.strip()!r}"
+                )
+            overrides[dest] = _BOOLEAN_WORDS[value.lower()]
         elif value == "" or value.lower() == "none":
             overrides[dest] = None
         elif action.type is not None:

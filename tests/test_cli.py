@@ -269,6 +269,26 @@ class TestDiscover:
         assert rc == 2
         assert "turbo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("word,stable", [("Yes", "true"), ("on", "true"),
+                                             ("OFF", "false"), ("0", "false")])
+    def test_config_file_boolean_words(self, tmp_path, word, stable):
+        data = chain_csv(tmp_path / "chain.csv", n=100)
+        cfg = tmp_path / "flags.cfg"
+        cfg.write_text(f"method=pc\nstable={word}\n")
+        out = tmp_path / "o"
+        assert main(["discover", "--config", str(cfg), "--in", str(data), "--out", str(out)]) == 0
+        assert f"stable={stable}\n" in (out / "config.txt").read_text()
+
+    def test_misspelt_config_boolean_rejected(self, tmp_path, capsys):
+        # an unknown word is an error, not a silent false
+        data = chain_csv(tmp_path / "chain.csv", n=100)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("method=pc\nstable=treu\n")
+        out = tmp_path / "o"
+        assert main(["discover", "--config", str(cfg), "--in", str(data), "--out", str(out)]) == 2
+        assert "line 2: bad value 'treu' for 'stable'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_river_runoff_profile_runs_on_wide_csv(self, tmp_path):
         rng = np.random.default_rng(123)
         wide = tmp_path / "wide.csv"
