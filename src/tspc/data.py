@@ -82,6 +82,11 @@ class DataMatrix:
         return tuple(f"X{i + 1}" for i in range(self.p))
 
 
+def _is_empty(cells: list[str]) -> bool:
+    """An empty line, or one that is a single blank cell (only whitespace)."""
+    return not cells or (len(cells) == 1 and not cells[0].strip())
+
+
 def _parse_row(cells: list[str]) -> list[float] | None:
     """All-float parse of one CSV row, or None if any cell is not a number."""
     out = []
@@ -99,7 +104,8 @@ def ingest_csv(path: str | Path) -> DataMatrix:
     The first row is treated as a header exactly when at least one of its
     cells does not parse as a float.  Every later row must be fully numeric
     and finite and have the same width; violations raise ValueError naming
-    the 1-based line and column.  Empty lines are skipped.
+    the 1-based line and column.  Empty and whitespace-only lines are
+    skipped.
 
     Two paths read the body.  The fast one hands it to a single np.loadtxt
     call.  When that call fails, or reads a width or row count that cannot be
@@ -113,7 +119,7 @@ def ingest_csv(path: str | Path) -> DataMatrix:
         raise FileNotFoundError(f"no such file: {path}")
     with open(path, newline="") as fh:
         try:
-            first = next((cells for cells in csv.reader(fh) if cells), [])
+            first = next((cells for cells in csv.reader(fh) if not _is_empty(cells)), [])
             header = None
             if _parse_row(first) is None:
                 header = tuple(cell.strip() for cell in first)
@@ -140,7 +146,8 @@ def _ingest_rows(path: Path) -> DataMatrix:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            rows = [(lineno, cells) for lineno, cells in enumerate(reader, start=1) if cells]
+            rows = [(lineno, cells) for lineno, cells in enumerate(reader, start=1)
+                    if not _is_empty(cells)]
         except csv.Error as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:

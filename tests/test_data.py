@@ -144,6 +144,23 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match="at least 2 data rows"):
             ingest_csv(f)
 
+    @pytest.mark.parametrize("text,names,values", [
+        ("a,b\n1,2\n  \n3,4\n\t\n", ("a", "b"), [[1.0, 2.0], [3.0, 4.0]]),
+        (" \na,b\n1,2\n3,4\n", ("a", "b"), [[1.0, 2.0], [3.0, 4.0]]),
+        ("x\n1\n \n2\n", ("x",), [[1.0], [2.0]]),
+    ])
+    def test_whitespace_only_lines_skipped(self, tmp_path, text, names, values):
+        f = tmp_path / "blank.csv"
+        f.write_text(text)
+        d = ingest_csv(f)
+        assert (d.names(), d.values.tolist()) == (names, values)
+
+    def test_row_of_blank_cells_is_not_a_number(self, tmp_path):
+        f = tmp_path / "blanks.csv"
+        f.write_text("1,2\n , \n3,4\n")
+        with pytest.raises(ValueError, match=r"line 2, column 1: not a number: ' '"):
+            ingest_csv(f)
+
     def test_ragged_row_names_line(self, tmp_path):
         f = tmp_path / "ragged.csv"
         f.write_text("1,2\n3\n5,6\n")
@@ -230,6 +247,11 @@ class TestParserAgreement:
     @example(text="1,2\r\n3,4\r\n")
     @example(text="\n\n1,2\n3,4\n\n")  # leading and trailing blank lines
     @example(text="1,2\n  \n3,4\n")  # a whitespace-only line
+    @example(text="a,b\n1,2\n3,4\n5,6\n  \n")  # a trailing whitespace-only line
+    @example(text=" \t\na,b\n1,2\n3,4\n")  # a leading one, before the header
+    @example(text="\t\n1,2\n3,4\n")  # a leading one, before the first row
+    @example(text="x\n1\n  \n2\n")  # a mid-file one in a one-column file
+    @example(text="1,2\n , \n3,4\n")  # several blank cells are not an empty line
     @example(text="a,b\n1,2\n3,4\n5\n")  # a ragged last row
     @example(text='"1.0",2\n3," 4 "\n')
     @example(text="1_0,2\n3,4\n")
