@@ -38,6 +38,7 @@ from .tpc import (
     frequencies_to_csv,
     tpc,
     tpcns,
+    unrolled_rows,
 )
 
 __all__ = ["main"]
@@ -333,6 +334,9 @@ def _run_discover(args: argparse.Namespace) -> None:
     try:
         window = (WindowConfig(tau=1, r=1) if args.method == "pc"
                   else WindowConfig(tau=args.tau, r=args.stride))
+        # A window the data cannot fill is a usage error for every test,
+        # found before a kernel calibration unrolls the data.
+        unrolled_rows(data.n, window, args.L if args.method == "tpcns" else None)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     pc_cfg = _discover_pc_config(args, data, window)

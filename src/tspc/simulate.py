@@ -37,6 +37,8 @@ PARADIGMS = (
 )
 
 _MOTIF = frozenset({(0, 2), (1, 2), (2, 3)})
+# Milliseconds between CTRNN samples.
+_CTRNN_SAMPLE_GAP = math.e
 _SELF_LOOPS = frozenset({(v, v) for v in range(4)})
 
 
@@ -62,6 +64,15 @@ class SimConfig:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
+        if self.paradigm == "CTRNN":
+            rows = math.floor(self.n / _CTRNN_SAMPLE_GAP)
+            unit = " ms, at one CTRNN sample per e ms,"
+        else:
+            rows, unit = self.n, ""
+        if rows < 2:
+            raise ValueError(
+                f"n={self.n}{unit} is too short: it gives {rows} rows, need at least 2"
+            )
         if self.burn_in < 0:
             raise ValueError(f"burn_in must be nonnegative, got {self.burn_in}")
 
@@ -158,7 +169,7 @@ def gen_contemporaneous_varma(cfg: SimConfig) -> DataMatrix:
 def gen_ctrnn(
     cfg: SimConfig,
     dt: float = 0.1,
-    sample_gap: float = math.e,
+    sample_gap: float = _CTRNN_SAMPLE_GAP,
     time_constant: float = 10.0,
     weights: np.ndarray | None = None,
     input_mean: float = 1.0,
@@ -194,7 +205,7 @@ def gen_ctrnn(
         u = u + du
         traj[t + 1] = u
     count = int(math.floor(cfg.n / sample_gap))
-    if count < 1:
+    if count < 2:
         raise ValueError(f"duration {cfg.n} ms too short for sampling gap {sample_gap}")
     idx = [skip_steps + int(round(k * sample_gap / dt)) for k in range(1, count + 1)]
     return DataMatrix(traj[idx])

@@ -30,6 +30,7 @@ __all__ = [
     "TpcnsConfig",
     "TpcnsResult",
     "unroll",
+    "unrolled_rows",
     "calibration_rows",
     "tpc",
     "tpcns",
@@ -52,16 +53,13 @@ class WindowConfig:
             raise ValueError(f"stride must be at least 1, got {self.r}")
 
 
-def unroll(data: DataMatrix, window: WindowConfig) -> DataMatrix:
-    """Stack each window of tau rows into one row of p * tau columns.
+def unrolled_rows(n: int, window: WindowConfig, window_length: int | None = None) -> int:
+    """How many rows unrolling n rows leaves: floor((n - tau) / r) + 1.
 
-    Row t of the result is original rows t*r .. t*r + tau - 1 concatenated
-    in time order; the row count is floor((n - tau) / r) + 1.  At depth 1 and
-    stride 1 that is the input itself, returned as is.
+    Raises ValueError when fewer than two windows fit, or when a subsample
+    window_length is given and exceeds that count, so a caller can check a
+    run's window against its data without unrolling it.
     """
-    if (window.tau, window.r) == (1, 1):
-        return data
-    n, p = data.n, data.p
     if n < window.tau:
         raise ValueError(f"need at least tau={window.tau} rows, got {n}")
     count = (n - window.tau) // window.r + 1
@@ -70,6 +68,24 @@ def unroll(data: DataMatrix, window: WindowConfig) -> DataMatrix:
             f"unrolling {n} rows with tau={window.tau}, r={window.r} "
             f"leaves {count} observations; need at least 2"
         )
+    if window_length is not None and window_length > count:
+        raise ValueError(
+            f"window length {window_length} exceeds the {count} unrolled observations"
+        )
+    return count
+
+
+def unroll(data: DataMatrix, window: WindowConfig) -> DataMatrix:
+    """Stack each window of tau rows into one row of p * tau columns.
+
+    Row t of the result is original rows t*r .. t*r + tau - 1 concatenated
+    in time order; the row count is unrolled_rows(n, window).  At depth 1 and
+    stride 1 that is the input itself, returned as is.
+    """
+    if (window.tau, window.r) == (1, 1):
+        return data
+    p = data.p
+    count = unrolled_rows(data.n, window)
     out = np.empty((count, p * window.tau), dtype=np.float64)
     for offset in range(window.tau):
         stop = offset + (count - 1) * window.r + 1
@@ -172,12 +188,8 @@ def tpcns(data: DataMatrix, config: TpcnsConfig) -> TpcnsResult:
     above the cutoff.  Deterministic given the seed.
     """
     p = data.p
+    unrolled_rows(data.n, config.window, config.window_length)
     chi = unroll(data, config.window)
-    if config.window_length > chi.n:
-        raise ValueError(
-            f"window length {config.window_length} exceeds the "
-            f"{chi.n} unrolled observations"
-        )
     rng = make_generator(config.seed)
     starts = rng.integers(0, chi.n - config.window_length + 1, size=config.num_subsamples)
     counts: dict[tuple[int, int], int] = {}

@@ -79,6 +79,16 @@ class TestSimulate:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("paradigm,n", [
+        ("LinearGaussianVAR", 1), ("CTRNN", 2), ("CTRNN", 3),
+    ])
+    def test_too_short_series_is_usage_error(self, tmp_path, capsys, paradigm, n):
+        out = tmp_path / "x"
+        rc = main(["simulate", "--paradigm", paradigm, "--n", str(n), "--out", str(out)])
+        assert rc == 2
+        assert f"error: n={n}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDiscover:
     def test_pc_on_chain_leaves_both_edges_undirected(self, tmp_path, capsys):
@@ -173,6 +183,28 @@ class TestDiscover:
                        "--in", str(src), "--out", str(tmp_path / "o")])
         assert rc == code
         assert f"kernel distances are not finite in column(s) {column}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("test", ["gaussian", "hsic", "oracle"])
+    @pytest.mark.parametrize("flags,nodes,message", [
+        (["--method", "tpcs", "--tau", "100"], 300, "need at least tau=100 rows, got 60"),
+        (["--method", "tpcns", "--L", "1000"], 3,
+         "window length 1000 exceeds the 30 unrolled observations"),
+    ])
+    def test_window_the_data_cannot_fill_is_usage_error(
+        self, tmp_path, capsys, test, flags, nodes, message
+    ):
+        # checked before calibration or the truth graph, so every test exits
+        # 2 with the same message and leaves no output directory
+        src = tmp_path / "short.csv"
+        write_csv(DataMatrix(np.random.default_rng(1004).normal(size=(60, 3))), src)
+        truth = tmp_path / "truth.json"
+        truth.write_text(to_json(RolledGraph(nodes, frozenset())))
+        out = tmp_path / "o"
+        rc = main(["discover", *flags, "--test", test, "--truth", str(truth),
+                   "--in", str(src), "--out", str(out)])
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("method,flags,note", [
         ("tpcs", [], "note: conditioning sets capped at size 3"),

@@ -38,6 +38,27 @@ class TestConfig:
         with pytest.raises(ValueError, match="n"):
             cfg("LinearGaussianVAR", n=0)
 
+    @pytest.mark.parametrize("paradigm,n", [
+        ("LinearGaussianVAR", 1),
+        ("NonlinearNonGaussianVAR", 1),
+        ("ContemporaneousVARMA", 1),
+        ("CTRNN", 2),
+        ("CTRNN", 3),
+        ("CTRNN", 5),
+    ])
+    def test_rejects_lengths_below_two_rows(self, paradigm, n):
+        with pytest.raises(ValueError, match=f"n={n}.* need at least 2"):
+            cfg(paradigm, n=n)
+
+    @pytest.mark.parametrize("paradigm,n", [
+        ("LinearGaussianVAR", 2),
+        ("NonlinearNonGaussianVAR", 2),
+        ("ContemporaneousVARMA", 2),
+        ("CTRNN", 6),
+    ])
+    def test_shortest_accepted_length_gives_two_rows(self, paradigm, n):
+        assert generate(cfg(paradigm, n=n)).n == 2
+
     def test_rejects_negative_burn_in(self):
         with pytest.raises(ValueError, match="burn_in"):
             cfg("LinearGaussianVAR", burn_in=-1)
@@ -132,6 +153,10 @@ class TestCtrnn:
     def test_rejects_duration_shorter_than_gap(self):
         with pytest.raises(ValueError, match="too short"):
             gen_ctrnn(cfg("CTRNN", n=2))
+
+    def test_rejects_custom_gap_leaving_one_sample(self):
+        with pytest.raises(ValueError, match="too short for sampling gap 60"):
+            gen_ctrnn(cfg("CTRNN", n=100), sample_gap=60.0)
 
 
 class TestGroundTruth:

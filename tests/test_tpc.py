@@ -296,24 +296,24 @@ class TestTpcns:
         # over many subsamples asks scipy for it once.
         gaussian = importlib.import_module("tspc.citests.gaussian")
         gaussian._upper_quantile.cache_clear()
-        calls = {"ppf": 0, "gamma": 0}
-        ppf, gamma = gaussian.stats.norm.ppf, gaussian.gaussian_gamma
+        calls = {"ndtri": 0, "gamma": 0}
+        ndtri, gamma = gaussian.ndtri, gaussian.gaussian_gamma
 
-        def counting_ppf(*args, **kwargs):
-            calls["ppf"] += 1
-            return ppf(*args, **kwargs)
+        def counting_ndtri(*args, **kwargs):
+            calls["ndtri"] += 1
+            return ndtri(*args, **kwargs)
 
         def counting_gamma(*args, **kwargs):
             calls["gamma"] += 1
             return gamma(*args, **kwargs)
 
-        monkeypatch.setattr(gaussian.stats.norm, "ppf", counting_ppf)
+        monkeypatch.setattr(gaussian, "ndtri", counting_ndtri)
         monkeypatch.setattr(gaussian, "gaussian_gamma", counting_gamma)
         cfg = TpcnsConfig(window_length=30, num_subsamples=8, pc=GAUSSIAN,
                           window=WindowConfig(tau=2, r=2), seed=5)
         tpcns(linvar(derive_seed(100, 7), n=200), cfg)
         assert calls["gamma"] > 100
-        assert calls["ppf"] == 1
+        assert calls["ndtri"] == 1
 
     def test_deterministic_given_seed(self):
         data = linvar(derive_seed(100, 4))
