@@ -10,164 +10,53 @@ edge-level scoring (:mod:`tspc.evaluate`), sweep orchestration
 
 from .citests import (
     BootstrapConfig,
-    CiOutcome,
-    CiQuery,
-    CiTestError,
-    CovMatrix,
     GaussianCiConfig,
     HsicConfig,
-    centered_gram,
-    fisher_z,
-    gaussian_ci_test,
-    gaussian_gamma,
     decoupled_pair_gamma,
-    hsic_ci_test,
-    hsic_conditional,
-    median_bandwidth,
     pair_gamma,
-    partial_correlation,
-    sample_covariance,
-    stationary_bootstrap_threshold,
 )
 from .data import DataMatrix, ingest_csv, write_csv
-from .evaluate import (
-    EdgeConfusion,
-    MetricsReport,
-    aggregate,
-    confusion,
-    edge_frequency,
-    metrics,
-)
-from .graphs import (
-    Dag,
-    Pdag,
-    RolledGraph,
-    Skeleton,
-    ancestors,
-    cpdag_of,
-    d_separated,
-    enumerate_equivalence_class,
-    graph_from_json,
-    is_acyclic,
-    markov_equivalent,
-    meek_closure,
-    roll,
-    to_dot,
-    to_json,
-    unrolled_index,
-    unrolled_time,
-    unrolled_var,
-    v_structures,
-)
-from .pc import (
-    CiDecision,
-    CiQueryError,
-    PcConfig,
-    PcResult,
-    decisions_to_csv,
-    find_skeleton,
-    orient,
-    pc,
-    population_pc,
-)
-from .reproduce import METHODS, SweepConfig, SweepResult, run_sweep, write_outputs
-from .simulate import (
-    PARADIGMS,
-    SimConfig,
-    gen_contemporaneous_varma,
-    gen_ctrnn,
-    gen_linear_var,
-    gen_nonlinear_var,
-    generate,
-    ground_truth,
-)
-from .tpc import (
-    TpcResult,
-    TpcnsConfig,
-    TpcnsResult,
-    WindowConfig,
-    tpc,
-    tpcns,
-    unroll,
-)
+from .evaluate import confusion, metrics
+from .graphs import Dag, Pdag, RolledGraph, graph_from_json, roll, to_dot, to_json
+from .pc import PcConfig, PcResult, pc
+from .reproduce import SweepConfig, run_sweep, write_outputs
+from .simulate import PARADIGMS, SimConfig, generate, ground_truth
+from .tpc import TpcResult, TpcnsConfig, TpcnsResult, WindowConfig, tpc, tpcns
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BootstrapConfig",
-    "CiDecision",
-    "CiOutcome",
-    "CiQuery",
-    "CiQueryError",
-    "CiTestError",
-    "CovMatrix",
-    "Dag",
     "DataMatrix",
-    "EdgeConfusion",
+    "ingest_csv",
+    "write_csv",
+    "Dag",
+    "Pdag",
+    "RolledGraph",
+    "roll",
+    "to_dot",
+    "to_json",
+    "graph_from_json",
     "GaussianCiConfig",
     "HsicConfig",
-    "METHODS",
-    "MetricsReport",
-    "PARADIGMS",
-    "Pdag",
+    "BootstrapConfig",
+    "pair_gamma",
+    "decoupled_pair_gamma",
     "PcConfig",
     "PcResult",
-    "RolledGraph",
-    "Skeleton",
-    "SimConfig",
-    "SweepConfig",
-    "SweepResult",
+    "pc",
+    "WindowConfig",
     "TpcResult",
     "TpcnsConfig",
     "TpcnsResult",
-    "WindowConfig",
-    "aggregate",
-    "ancestors",
-    "centered_gram",
-    "confusion",
-    "cpdag_of",
-    "d_separated",
-    "decisions_to_csv",
-    "edge_frequency",
-    "enumerate_equivalence_class",
-    "find_skeleton",
-    "fisher_z",
-    "gaussian_ci_test",
-    "gaussian_gamma",
-    "gen_contemporaneous_varma",
-    "gen_ctrnn",
-    "gen_linear_var",
-    "gen_nonlinear_var",
-    "generate",
-    "graph_from_json",
-    "ground_truth",
-    "decoupled_pair_gamma",
-    "hsic_ci_test",
-    "hsic_conditional",
-    "ingest_csv",
-    "is_acyclic",
-    "markov_equivalent",
-    "median_bandwidth",
-    "meek_closure",
-    "metrics",
-    "orient",
-    "pair_gamma",
-    "partial_correlation",
-    "pc",
-    "population_pc",
-    "roll",
-    "run_sweep",
-    "sample_covariance",
-    "stationary_bootstrap_threshold",
-    "to_dot",
-    "to_json",
     "tpc",
     "tpcns",
-    "unroll",
-    "unrolled_index",
-    "unrolled_time",
-    "unrolled_var",
-    "v_structures",
-    "write_csv",
+    "SimConfig",
+    "PARADIGMS",
+    "generate",
+    "ground_truth",
+    "confusion",
+    "metrics",
+    "SweepConfig",
+    "run_sweep",
     "write_outputs",
 ]

@@ -1,11 +1,7 @@
 """Conditional-independence tests: Gaussian partial correlation and kernel HSIC."""
 
 from .base import CiOutcome, CiQuery, CiTestError
-from .bootstrap import (
-    BootstrapConfig,
-    stationary_bootstrap_indices,
-    stationary_bootstrap_threshold,
-)
+from .bootstrap import BootstrapConfig, stationary_bootstrap_threshold
 from .gaussian import (
     CovMatrix,
     GaussianCiConfig,
@@ -18,14 +14,10 @@ from .gaussian import (
 from .hsic import (
     ColumnFactors,
     HsicConfig,
-    centered_gram,
-    check_kernel_range,
     decoupled_pair_gamma,
     hsic_ci_test,
     hsic_conditional,
-    median_bandwidth,
     pair_gamma,
-    strided_subset,
 )
 
 __all__ = [
@@ -33,7 +25,6 @@ __all__ = [
     "CiQuery",
     "CiTestError",
     "BootstrapConfig",
-    "stationary_bootstrap_indices",
     "stationary_bootstrap_threshold",
     "CovMatrix",
     "GaussianCiConfig",
@@ -44,12 +35,8 @@ __all__ = [
     "sample_covariance",
     "ColumnFactors",
     "HsicConfig",
-    "centered_gram",
-    "check_kernel_range",
     "decoupled_pair_gamma",
     "hsic_ci_test",
     "hsic_conditional",
-    "median_bandwidth",
     "pair_gamma",
-    "strided_subset",
 ]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .citests import BootstrapConfig, GaussianCiConfig, HsicConfig, decoupled_pair_gamma
@@ -331,11 +332,20 @@ def _run_discover(args: argparse.Namespace) -> None:
         data = ingest_csv(args.input)
     except (FileNotFoundError, ValueError) as exc:
         raise CliError(str(exc)) from exc
+    # Bad subsample settings and a window the data cannot fill are usage
+    # errors for every test, found before a kernel calibration runs or any
+    # output is written.
     try:
         window = (WindowConfig(tau=1, r=1) if args.method == "pc"
                   else WindowConfig(tau=args.tau, r=args.stride))
-        # A window the data cannot fill is a usage error for every test,
-        # found before a kernel calibration unrolls the data.
+        if args.method == "tpcns":
+            tcfg = TpcnsConfig(
+                window_length=args.L,
+                num_subsamples=args.subsamples,
+                freq_cutoff=args.cutoff,
+                window=window,
+                seed=derive_seed(args.seed, STREAM_SUBSAMPLE),
+            )
         unrolled_rows(data.n, window, args.L if args.method == "tpcns" else None)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -343,18 +353,7 @@ def _run_discover(args: argparse.Namespace) -> None:
     out = _prepare_out(args)
 
     if args.method == "tpcns":
-        try:
-            tcfg = TpcnsConfig(
-                window_length=args.L,
-                num_subsamples=args.subsamples,
-                freq_cutoff=args.cutoff,
-                pc=pc_cfg,
-                window=window,
-                seed=derive_seed(args.seed, STREAM_SUBSAMPLE),
-            )
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        result = tpcns(data, tcfg)
+        result = tpcns(data, replace(tcfg, pc=pc_cfg))
         _emit_graph(out, "graph", result.graph, formats)
         write_text_atomic(out / "frequencies.csv", frequencies_to_csv(result.frequencies))
         diagnostics = result.diagnostics

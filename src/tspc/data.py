@@ -72,9 +72,6 @@ class DataMatrix:
     def p(self) -> int:
         return self.values.shape[1]
 
-    def column(self, index: int) -> np.ndarray:
-        return self.values[:, index]
-
     def names(self) -> tuple[str, ...]:
         """Column labels, defaulting to X1..Xp when none were supplied."""
         if self.column_names is not None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
     "Dag",
@@ -25,11 +25,8 @@ __all__ = [
     "ancestors",
     "d_separated",
     "v_structures",
-    "markov_equivalent",
     "cpdag_of",
     "meek_closure",
-    "enumerate_equivalence_class",
-    "unrolled_index",
     "unrolled_var",
     "unrolled_time",
     "roll",
@@ -83,20 +80,6 @@ class Dag:
     def parents(self, v: int) -> set[int]:
         _check_node(self.p, v)
         return {u for (u, w) in self.edges if w == v}
-
-    def children(self, v: int) -> set[int]:
-        _check_node(self.p, v)
-        return {w for (u, w) in self.edges if u == v}
-
-    def adjacent(self, v: int) -> set[int]:
-        _check_node(self.p, v)
-        out = set()
-        for u, w in self.edges:
-            if u == v:
-                out.add(w)
-            elif w == v:
-                out.add(u)
-        return out
 
     def skeleton(self) -> "Skeleton":
         return Skeleton(self.p, frozenset(_normalize_pair(u, v) for u, v in self.edges))
@@ -174,9 +157,6 @@ class Pdag:
     def skeleton(self) -> Skeleton:
         pairs = {_normalize_pair(u, v) for u, v in self.directed} | set(self.undirected)
         return Skeleton(self.p, frozenset(pairs))
-
-    def adjacent(self, v: int) -> set[int]:
-        return self.skeleton().adjacent(v)
 
 
 @dataclass(frozen=True)
@@ -305,13 +285,6 @@ def v_structures(g: Dag) -> frozenset:
     return frozenset(out)
 
 
-def markov_equivalent(g1: Dag, g2: Dag) -> bool:
-    """Same skeleton and same v-structures."""
-    if g1.p != g2.p:
-        raise ValueError("graphs must have the same node count")
-    return g1.skeleton().edges == g2.skeleton().edges and v_structures(g1) == v_structures(g2)
-
-
 def _closure(p: int, skeleton_edges: frozenset, seed_directed: set[Edge]) -> Pdag:
     """Apply the four orientation-propagation rules until none fires.
 
@@ -394,35 +367,7 @@ def cpdag_of(g: Dag) -> Pdag:
     return _closure(g.p, g.skeleton().edges, seed)
 
 
-def enumerate_equivalence_class(g: Dag) -> list[Dag]:
-    """All DAGs Markov-equivalent to ``g``, by brute force over skeleton orientations.
-
-    Guarded to ``p <= 8``; the orientation space is exponential in the
-    number of skeleton edges.
-    """
-    if g.p > 8:
-        raise ValueError("equivalence-class enumeration is limited to p <= 8")
-    skeleton_edges = sorted(g.skeleton().edges)
-    target = v_structures(g)
-    members = []
-    for mask in range(1 << len(skeleton_edges)):
-        edges = frozenset(
-            (u, v) if not (mask >> idx) & 1 else (v, u)
-            for idx, (u, v) in enumerate(skeleton_edges)
-        )
-        if not is_acyclic(g.p, edges):
-            continue
-        candidate = Dag(g.p, edges)
-        if v_structures(candidate) == target:
-            members.append(candidate)
-    return members
-
-
-def unrolled_index(var: int, time: int, p: int) -> int:
-    """Flattened node index of variable ``var`` at window offset ``time``."""
-    return p * time + var
-
-
+# Window node p*t + v is variable v at window offset t.
 def unrolled_var(index: int, p: int) -> int:
     return index % p
 

@@ -33,7 +33,7 @@ from .graphs import RolledGraph
 from .pc import PcConfig
 from .rng import STREAM_CALIBRATE, STREAM_SUBSAMPLE, derive_seed
 from .simulate import PARADIGMS, SimConfig, generate, ground_truth
-from .tpc import TpcnsConfig, WindowConfig, calibration_rows, tpc, tpcns
+from .tpc import TpcnsConfig, WindowConfig, calibration_rows, tpc, tpcns, unrolled_rows
 
 __all__ = [
     "METHODS",
@@ -59,7 +59,9 @@ class SweepConfig:
     always search at depth 1 and stride 1.  hsic_max_rows caps the rows any
     single kernel test sees; None lifts the cap.  Calibration sees the same
     cap and needs CALIBRATION_MIN_ROWS rows, so any kernel (*HS) method
-    needs a cap of at least that.
+    needs a cap of at least that.  Construction also rejects a series too
+    short for a method's window and subsample settings TpcnsConfig refuses,
+    so a bad sweep fails before its first cell.
     """
 
     paradigm: str
@@ -103,8 +105,6 @@ class SweepConfig:
                 raise ValueError(f"alpha values must lie in (0, 1), got {a}")
         if self.reps < 1:
             raise ValueError(f"need at least 1 repetition, got {self.reps}")
-        if self.tau < 1 or self.stride < 1:
-            raise ValueError("tau and stride must be at least 1")
         if not self.calibration_block > 1.0:
             raise ValueError(f"calibration_block must exceed 1, got {self.calibration_block}")
         if "TPCNSHS" in methods and self.window_length < CALIBRATION_MIN_ROWS:
@@ -114,6 +114,14 @@ class SweepConfig:
         if kernel and self.hsic_max_rows is not None and self.hsic_max_rows < CALIBRATION_MIN_ROWS:
             raise ValueError(f"{kernel[0]} calibrates on at most hsic_max_rows rows, at least "
                              f"{CALIBRATION_MIN_ROWS}; got hsic_max_rows={self.hsic_max_rows}")
+        # What a cell would reject, rejected before any cell runs; eta does
+        # not change the row count.
+        rows = SimConfig(self.paradigm, n=self.n).rows
+        WindowConfig(self.tau, self.stride)  # checked even when only PC and PCHS run
+        if any(m.startswith("TPCNS") for m in methods):
+            TpcnsConfig(self.window_length, self.num_subsamples, self.freq_cutoff)
+        for m in methods:
+            unrolled_rows(rows, *_search_window(m, self))
 
 
 @dataclass(frozen=True)
@@ -135,6 +143,12 @@ class SweepResult:
     cells: tuple[CellResult, ...]
 
 
+def _search_window(method: str, cfg: SweepConfig) -> tuple[WindowConfig, int | None]:
+    """The window a method searches, and its TPC-NS subsample length (None for TPC)."""
+    window = WindowConfig(1, 1) if method.startswith("PC") else WindowConfig(cfg.tau, cfg.stride)
+    return window, cfg.window_length if method.startswith("TPCNS") else None
+
+
 def _eta_key(eta: float) -> int:
     return int(round(eta * 1000))
 
@@ -147,8 +161,7 @@ def _estimate(
     rep_key: tuple[int, ...],
 ) -> RolledGraph:
     """One method on one series; returns the estimated rolled graph."""
-    window = WindowConfig(1, 1) if method.startswith("PC") else WindowConfig(cfg.tau, cfg.stride)
-    window_length = cfg.window_length if method.startswith("TPCNS") else None
+    window, window_length = _search_window(method, cfg)
     midx = METHODS.index(method)
     if method.endswith("HS"):
         rows = calibration_rows(data, window, window_length)
@@ -256,15 +269,10 @@ def frequency_csv(result: SweepResult) -> str:
 
 
 def write_outputs(result: SweepResult, out_dir: str | Path) -> dict[str, Path]:
-    """metrics.csv, frequencies.csv, and the replayable config.txt."""
+    """metrics.csv and frequencies.csv; both start with the config_text line."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "metrics": out / "metrics.csv",
-        "frequencies": out / "frequencies.csv",
-        "config": out / "config.txt",
-    }
+    paths = {"metrics": out / "metrics.csv", "frequencies": out / "frequencies.csv"}
     write_text_atomic(paths["metrics"], metrics_csv(result))
     write_text_atomic(paths["frequencies"], frequency_csv(result))
-    write_text_atomic(paths["config"], config_text(result.config))
     return paths

@@ -37,9 +37,22 @@ PARADIGMS = (
 )
 
 _MOTIF = frozenset({(0, 2), (1, 2), (2, 3)})
-# Milliseconds between CTRNN samples.
-_CTRNN_SAMPLE_GAP = math.e
 _SELF_LOOPS = frozenset({(v, v) for v in range(4)})
+
+# CTRNN settings: Euler step, sampling gap and unit time constant in
+# milliseconds, mean of the input drive, and the weights w_13 = w_23 =
+# w_34 = 10, where _CTRNN_WEIGHTS[i, j] scales presynaptic i into
+# postsynaptic j.
+_CTRNN_DT = 0.1
+_CTRNN_SAMPLE_GAP = math.e
+_CTRNN_TIME_CONSTANT = 10.0
+_CTRNN_INPUT_MEAN = 1.0
+_CTRNN_WEIGHTS = np.array([
+    [0.0, 0.0, 10.0, 0.0],
+    [0.0, 0.0, 10.0, 0.0],
+    [0.0, 0.0, 0.0, 10.0],
+    [0.0, 0.0, 0.0, 0.0],
+])
 
 
 @dataclass(frozen=True)
@@ -64,17 +77,20 @@ class SimConfig:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
-        if self.paradigm == "CTRNN":
-            rows = math.floor(self.n / _CTRNN_SAMPLE_GAP)
-            unit = " ms, at one CTRNN sample per e ms,"
-        else:
-            rows, unit = self.n, ""
-        if rows < 2:
+        if self.rows < 2:
+            unit = " ms, at one CTRNN sample per e ms," if self.paradigm == "CTRNN" else ""
             raise ValueError(
-                f"n={self.n}{unit} is too short: it gives {rows} rows, need at least 2"
+                f"n={self.n}{unit} is too short: it gives {self.rows} rows, need at least 2"
             )
         if self.burn_in < 0:
             raise ValueError(f"burn_in must be nonnegative, got {self.burn_in}")
+
+    @property
+    def rows(self) -> int:
+        """Rows the generator returns: n, or floor(n / e) for CTRNN."""
+        if self.paradigm == "CTRNN":
+            return math.floor(self.n / _CTRNN_SAMPLE_GAP)
+        return self.n
 
 
 def gen_linear_var(cfg: SimConfig) -> DataMatrix:
@@ -100,13 +116,11 @@ def gen_linear_var(cfg: SimConfig) -> DataMatrix:
     return DataMatrix(out[cfg.burn_in:])
 
 
-def gen_nonlinear_var(cfg: SimConfig, nested: bool = False) -> DataMatrix:
+def gen_nonlinear_var(cfg: SimConfig) -> DataMatrix:
     """Bounded nonlinear recursion with uniform noise on (0, eta).
 
     X_t1, X_t2 ~ U(0, eta), X_t3 = 4 sin(X_(t-1)1) + 3 cos(X_(t-1)2) + U(0, eta),
-    X_t4 = 2 sin(X_(t-1)3) + U(0, eta).  nested=True switches the third
-    equation to the alternate composition 4 sin(X_(t-1)1 + 3 cos(X_(t-1)2)),
-    which preserves the same ground truth.
+    X_t4 = 2 sin(X_(t-1)3) + U(0, eta).
     """
     rng = make_generator(cfg.seed)
     total = cfg.n + cfg.burn_in
@@ -114,14 +128,10 @@ def gen_nonlinear_var(cfg: SimConfig, nested: bool = False) -> DataMatrix:
     noise = rng.uniform(0.0, cfg.eta, size=(total, 4))
     out = np.empty((total, 4), dtype=np.float64)
     for t in range(total):
-        if nested:
-            drive3 = 4.0 * math.sin(state[0] + 3.0 * math.cos(state[1]))
-        else:
-            drive3 = 4.0 * math.sin(state[0]) + 3.0 * math.cos(state[1])
         row = np.array([
             noise[t, 0],
             noise[t, 1],
-            drive3 + noise[t, 2],
+            4.0 * math.sin(state[0]) + 3.0 * math.cos(state[1]) + noise[t, 2],
             2.0 * math.sin(state[2]) + noise[t, 3],
         ])
         out[t] = row
@@ -166,48 +176,30 @@ def gen_contemporaneous_varma(cfg: SimConfig) -> DataMatrix:
     return DataMatrix(out[cfg.burn_in:])
 
 
-def gen_ctrnn(
-    cfg: SimConfig,
-    dt: float = 0.1,
-    sample_gap: float = _CTRNN_SAMPLE_GAP,
-    time_constant: float = 10.0,
-    weights: np.ndarray | None = None,
-    input_mean: float = 1.0,
-) -> DataMatrix:
+def gen_ctrnn(cfg: SimConfig) -> DataMatrix:
     """Forward-Euler integration of a 4-unit firing-rate network.
 
     tau_j du_j/dt = -u_j + sum_i w_ij sigma(u_i) + I_j(t) with logistic
     sigma, connection weights w_13 = w_23 = w_34 = 10 (zero elsewhere),
-    tau_j = 10 ms, noisy drive I_j ~ N(input_mean, eta^2) redrawn each Euler
+    tau_j = 10 ms, noisy drive I_j ~ N(1, eta^2) redrawn each 0.1 ms Euler
     step, zero initial state.  cfg.n is the duration in milliseconds; rows
-    are the states nearest the grid times k * sample_gap for
-    k = 1 .. floor(n / sample_gap).  burn_in extends the leading duration
-    that is simulated but not sampled.
+    are the states nearest the grid times k * e for k = 1 .. cfg.rows.
+    burn_in extends the leading duration that is simulated but not sampled.
     """
-    if weights is None:
-        weights = np.zeros((4, 4))
-        weights[0, 2] = weights[1, 2] = weights[2, 3] = 10.0
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (4, 4):
-            raise ValueError(f"weights must be 4x4, got shape {weights.shape}")
+    dt = _CTRNN_DT
     rng = make_generator(cfg.seed)
     skip_steps = int(round(cfg.burn_in / dt))
     steps = int(round(cfg.n / dt)) + skip_steps
-    drive = rng.normal(input_mean, cfg.eta, size=(steps, 4))
+    drive = rng.normal(_CTRNN_INPUT_MEAN, cfg.eta, size=(steps, 4))
     traj = np.empty((steps + 1, 4), dtype=np.float64)
     traj[0] = 0.0
     u = traj[0]
     for t in range(steps):
         sigma = 1.0 / (1.0 + np.exp(-u))
-        # weights[i, j] scales presynaptic i into postsynaptic j.
-        du = (-u + sigma @ weights + drive[t]) * (dt / time_constant)
+        du = (-u + sigma @ _CTRNN_WEIGHTS + drive[t]) * (dt / _CTRNN_TIME_CONSTANT)
         u = u + du
         traj[t + 1] = u
-    count = int(math.floor(cfg.n / sample_gap))
-    if count < 2:
-        raise ValueError(f"duration {cfg.n} ms too short for sampling gap {sample_gap}")
-    idx = [skip_steps + int(round(k * sample_gap / dt)) for k in range(1, count + 1)]
+    idx = [skip_steps + int(round(k * _CTRNN_SAMPLE_GAP / dt)) for k in range(1, cfg.rows + 1)]
     return DataMatrix(traj[idx])
 
 

@@ -5,11 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tspc.citests import (
-    BootstrapConfig,
-    stationary_bootstrap_indices,
-    stationary_bootstrap_threshold,
-)
+from tspc.citests import BootstrapConfig, stationary_bootstrap_threshold
+from tspc.citests.bootstrap import stationary_bootstrap_indices
 from tspc.data import DataMatrix
 from tspc.rng import derive_seed, make_generator
 

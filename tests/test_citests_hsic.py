@@ -14,16 +14,13 @@ from tspc.citests import (
     BootstrapConfig,
     ColumnFactors,
     HsicConfig,
-    centered_gram,
-    check_kernel_range,
     decoupled_pair_gamma,
     hsic_ci_test,
     hsic_conditional,
-    median_bandwidth,
     pair_gamma,
     stationary_bootstrap_threshold,
-    strided_subset,
 )
+from tspc.citests.hsic import centered_gram, check_kernel_range, median_bandwidth, strided_subset
 from tspc.pc import PcConfig, pc
 from tspc.rng import derive_seed, make_generator
 

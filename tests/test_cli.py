@@ -206,6 +206,27 @@ class TestDiscover:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("test", ["gaussian", "hsic"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--L", "1"], "window length must be at least 2, got 1"),
+        (["--L", "20", "--subsamples", "0"], "need at least 1 subsample, got 0"),
+        (["--L", "20", "--cutoff", "2"], "frequency cutoff must lie in [0, 1], got 2.0"),
+    ])
+    def test_bad_subsample_settings_are_usage_errors(
+        self, tmp_path, capsys, monkeypatch, test, flags, message
+    ):
+        # checked before the kernel calibration and before any output is written
+        monkeypatch.setattr(cli, "decoupled_pair_gamma",
+                            lambda *args: pytest.fail("calibration ran"))
+        src = tmp_path / "short.csv"
+        write_csv(DataMatrix(np.random.default_rng(1004).normal(size=(60, 3))), src)
+        out = tmp_path / "o"
+        rc = main(["discover", "--method", "tpcns", "--tau", "2", "--stride", "1", *flags,
+                   "--test", test, "--in", str(src), "--out", str(out)])
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("method,flags,note", [
         ("tpcs", [], "note: conditioning sets capped at size 3"),
         ("tpcns", ["--L", "6", "--subsamples", "3"],
@@ -449,6 +470,44 @@ class TestReproduce:
         freq_lines = (out / "frequencies.csv").read_text().splitlines()
         assert freq_lines[1] == "method,paradigm,eta,alpha,from,to,percent"
         assert (out / "config.txt").exists()
+
+    def test_config_txt_replays_byte_identical(self, tmp_path):
+        first = tmp_path / "first"
+        rc = main([
+            "reproduce", "--paradigm", "LinearGaussianVAR", "--methods", "PC,TPCNS",
+            "--reps", "2", "--subsamples", "5", "--seed", "3", "--out", str(first),
+        ])
+        assert rc == 0
+        second = tmp_path / "second"
+        # --paradigm is a required flag, so a replay names it on the command line
+        rc = main([
+            "reproduce", "--config", str(first / "config.txt"),
+            "--paradigm", "LinearGaussianVAR", "--out", str(second),
+        ])
+        assert rc == 0
+        for name in ("metrics.csv", "frequencies.csv"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--methods", "PC,TPCNS", "--subsamples", "0"], "need at least 1 subsample, got 0"),
+        (["--methods", "PC,TPCNS", "--L", "1"], "window length must be at least 2, got 1"),
+        (["--methods", "PC,TPCNS", "--cutoff", "2"],
+         "frequency cutoff must lie in [0, 1], got 2.0"),
+        (["--methods", "TPCNS", "--L", "400", "--n", "300"],
+         "window length 400 exceeds the 150 unrolled observations"),
+        (["--n", "1"], "n=1 is too short"),
+        (["--n", "10", "--methods", "TPCS", "--tau", "20"], "need at least tau=20 rows, got 10"),
+    ])
+    def test_bad_sweep_is_usage_error_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        monkeypatch.setattr(cli, "run_sweep", lambda cfg: pytest.fail("a cell ran"))
+        out = tmp_path / "o"
+        rc = main(["reproduce", "--paradigm", "LinearGaussianVAR", "--reps", "1", *flags,
+                   "--out", str(out)])
+        assert rc == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_calibration_block_checked_before_any_cell_runs(self):
         with pytest.raises(ValueError, match="calibration_block"):

@@ -74,7 +74,6 @@ class TestDataMatrix:
     def test_shape_properties(self):
         d = DataMatrix([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
         assert (d.n, d.p) == (3, 2)
-        assert list(d.column(1)) == [1.0, 3.0, 5.0]
 
     def test_default_names(self):
         d = DataMatrix(np.zeros((2, 3)))

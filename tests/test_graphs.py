@@ -17,15 +17,12 @@ from tspc.graphs import (
     ancestors,
     cpdag_of,
     d_separated,
-    enumerate_equivalence_class,
     graph_from_json,
     is_acyclic,
-    markov_equivalent,
     meek_closure,
     roll,
     to_dot,
     to_json,
-    unrolled_index,
     unrolled_time,
     unrolled_var,
     v_structures,
@@ -139,54 +136,18 @@ class TestVStructures:
         assert v_structures(g) == v_structures_oracle(g)
 
 
-class TestMarkovEquivalence:
-    def test_reflexive(self):
-        assert markov_equivalent(MOTIF, MOTIF)
-
-    def test_reversed_chain(self):
-        assert markov_equivalent(CHAIN3, Dag(3, frozenset({(2, 1), (1, 0)})))
-
-    def test_collider_not_equivalent_to_flip(self):
-        assert not markov_equivalent(COLLIDER, Dag(3, frozenset({(2, 0), (1, 2)})))
-
-    def test_p_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            markov_equivalent(CHAIN3, MOTIF)
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 10**6))
-    def test_equivalence_iff_class_membership(self, seed):
-        rng = np.random.default_rng(seed)
-        p = int(rng.integers(2, 6))
-        g1 = random_dag(rng, p, edge_prob=0.4, max_edges=8)
-        g2 = random_dag(rng, p, edge_prob=0.4, max_edges=8)
-        in_class = g2.edges in set(equivalence_class_oracle(g1))
-        assert markov_equivalent(g1, g2) == in_class
-
-
 class TestEquivalenceClass:
+    # Fixed cases of the brute-force oracle that the CPDAG tests lean on.
     def test_chain_has_three_members(self):
-        members = enumerate_equivalence_class(CHAIN3)
+        members = equivalence_class_oracle(CHAIN3)
         assert len(members) == 3
-        assert all(markov_equivalent(CHAIN3, m) for m in members)
+        assert frozenset({(2, 1), (1, 0)}) in members
 
     def test_collider_is_pinned(self):
-        assert len(enumerate_equivalence_class(COLLIDER)) == 1
+        assert equivalence_class_oracle(COLLIDER) == [COLLIDER.edges]
 
     def test_empty_graph_single_member(self):
-        assert len(enumerate_equivalence_class(Dag(3))) == 1
-
-    def test_size_guard(self):
-        with pytest.raises(ValueError):
-            enumerate_equivalence_class(Dag(9))
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 10**6))
-    def test_matches_orientation_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        g = random_dag(rng, int(rng.integers(2, 6)), edge_prob=0.4, max_edges=8)
-        got = {m.edges for m in enumerate_equivalence_class(g)}
-        assert got == set(equivalence_class_oracle(g))
+        assert len(equivalence_class_oracle(Dag(3))) == 1
 
 
 class TestCpdag:
@@ -226,13 +187,13 @@ class TestUnrolledLayout:
         for p in (1, 2, 4):
             for t in (0, 1, 2):
                 for v in range(p):
-                    idx = unrolled_index(v, t, p)
+                    idx = p * t + v
                     assert unrolled_var(idx, p) == v
                     assert unrolled_time(idx, p) == t
 
     def test_column_layout(self):
-        # time-major blocks: node p*t + v
-        assert unrolled_index(2, 1, 4) == 6
+        # time-major blocks: node p*t + v, so variable 2 at offset 1 of p=4
+        assert (unrolled_var(6, 4), unrolled_time(6, 4)) == (2, 1)
 
 
 class TestRoll:
