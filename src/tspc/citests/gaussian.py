@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
+from scipy.linalg import lapack
 from scipy.special import ndtri
 
 from ..data import DataMatrix
@@ -115,6 +115,9 @@ def partial_correlation(cov: CovMatrix, query: CiQuery) -> float:
     The pair is permuted to the leading block and the conditioning set to the
     trailing block; the conditional covariance of the pair is then
     S11 - S12 S22^{-1} S21, factorizing the conditioning block by Cholesky.
+    The factor and the solve are the LAPACK calls (dpotrf, dpotrs) behind
+    scipy.linalg.cholesky and cho_solve, without their per-call checks:
+    CovMatrix rejected non-finite entries, and the blocks are tiny.
     """
     p = cov.p
     for v in (query.i, query.j, *query.k):
@@ -123,18 +126,15 @@ def partial_correlation(cov: CovMatrix, query: CiQuery) -> float:
     sigma = cov.sigma
     if query.k:
         idx = [query.i, query.j, *query.k]
-        sub = sigma[np.ix_(idx, idx)]
+        # C-ordered like sigma[np.ix_(idx, idx)], so s12 @ w runs the same BLAS call.
+        sub = sigma.take(idx, 0).take(idx, 1)
         s12 = sub[:2, 2:]
         s22 = sub[2:, 2:]
-        # CovMatrix rejected non-finite entries, so skip the finiteness scans.
-        try:
-            chol = sla.cholesky(s22, lower=True, check_finite=False)
-        except sla.LinAlgError:
-            raise CiTestError("conditioning set collinear") from None
-        if np.min(np.diag(chol)) ** 2 < _PIVOT_TOL * np.trace(s22):
+        chol, info = lapack.dpotrf(s22, lower=1, clean=1)
+        if info > 0 or chol.diagonal().min() ** 2 < _PIVOT_TOL * s22.trace():
             raise CiTestError("conditioning set collinear")
         # S22^{-1} S21 through the existing factor, no explicit inverse.
-        w = sla.cho_solve((chol, True), s12.T, check_finite=False)
+        w, _ = lapack.dpotrs(chol, s12.T, lower=1)
         cond = sub[:2, :2] - s12 @ w
         var_i, var_j, cov_ij = cond[0, 0], cond[1, 1], cond[0, 1]
     else:

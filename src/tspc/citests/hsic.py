@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg as sla
 from scipy.linalg import lapack
 from scipy.spatial.distance import pdist, squareform
 
@@ -188,8 +187,10 @@ def _factor(arr: np.ndarray, reg: float) -> np.ndarray:
     low -= low.mean(axis=0)
     inner = low.T @ low
     inner[np.diag_indices(rank)] += reg
-    chol = sla.cholesky(inner, lower=True, check_finite=False)
-    return sla.solve_triangular(chol, low.T, lower=True, check_finite=False).T
+    # The calls behind scipy.linalg.cholesky and solve_triangular; the reg
+    # shift makes inner positive definite.
+    chol, _ = lapack.dpotrf(inner, lower=1, clean=1)
+    return lapack.dtrtrs(chol, low.T, lower=1, overwrite_b=1)[0].T
 
 
 def _statistic(vx: np.ndarray, vy: np.ndarray, vz: np.ndarray | None) -> float:

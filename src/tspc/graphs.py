@@ -107,14 +107,12 @@ class Skeleton:
     def has_edge(self, u: int, v: int) -> bool:
         return _normalize_pair(u, v) in self.edges
 
-    def adjacent(self, v: int) -> set[int]:
-        _check_node(self.p, v)
-        out = set()
-        for u, w in self.edges:
-            if u == v:
-                out.add(w)
-            elif w == v:
-                out.add(u)
+    def neighbours(self) -> dict[int, set[int]]:
+        """Every node's adjacent nodes, from one pass over the edges."""
+        out: dict[int, set[int]] = {v: set() for v in range(self.p)}
+        for u, v in self.edges:
+            out[u].add(v)
+            out[v].add(u)
         return out
 
 
@@ -285,22 +283,20 @@ def v_structures(g: Dag) -> frozenset:
     return frozenset(out)
 
 
-def _closure(p: int, skeleton_edges: frozenset, seed_directed: set[Edge]) -> Pdag:
+def _closure(skeleton: Skeleton, seed_directed: set[Edge]) -> Pdag:
     """Apply the four orientation-propagation rules until none fires.
 
     ``seed_directed`` must contain at most one orientation per pair; rules
     only ever orient still-undirected edges, so existing arrows are never
     overwritten.
     """
+    p = skeleton.p
     directed: set[Edge] = set(seed_directed)
     undirected: set[Edge] = {
-        e for e in skeleton_edges
+        e for e in skeleton.edges
         if e not in directed and (e[1], e[0]) not in directed
     }
-    adjacent: dict[int, set[int]] = {v: set() for v in range(p)}
-    for u, v in skeleton_edges:
-        adjacent[u].add(v)
-        adjacent[v].add(u)
+    adjacent = skeleton.neighbours()
     parents: dict[int, set[int]] = {v: set() for v in range(p)}
     children: dict[int, set[int]] = {v: set() for v in range(p)}
     for u, v in directed:
@@ -349,7 +345,7 @@ def _closure(p: int, skeleton_edges: frozenset, seed_directed: set[Edge]) -> Pda
 
 def meek_closure(g: Pdag) -> Pdag:
     """Repeatedly apply the orientation-propagation rules to a partially directed graph."""
-    return _closure(g.p, g.skeleton().edges, set(g.directed))
+    return _closure(g.skeleton(), set(g.directed))
 
 
 def cpdag_of(g: Dag) -> Pdag:
@@ -364,7 +360,7 @@ def cpdag_of(g: Dag) -> Pdag:
     for i, c, j in v_structures(g):
         seed.add((i, c))
         seed.add((j, c))
-    return _closure(g.p, g.skeleton().edges, seed)
+    return _closure(g.skeleton(), seed)
 
 
 # Window node p*t + v is variable v at window offset t.

@@ -221,6 +221,7 @@ def orient(
             )
         norm[pair] = members
 
+    adjacent = skeleton.neighbours()
     demands: set[tuple[int, int]] = set()
     for i in range(p):
         for j in range(i + 1, p):
@@ -231,7 +232,7 @@ def orient(
                     f"separating-set table missing non-adjacent pair ({i + 1}, {j + 1})"
                 )
             sep = norm[(i, j)]
-            for c in sorted(skeleton.adjacent(i) & skeleton.adjacent(j)):
+            for c in sorted(adjacent[i] & adjacent[j]):
                 if c not in sep:
                     demands.add((i, c))
                     demands.add((j, c))

@@ -11,7 +11,10 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+from scipy import linalg as sla
+from scipy.linalg import lapack
 
+from tspc.citests import hsic
 from tspc.graphs import Dag
 
 
@@ -161,3 +164,25 @@ def residual_partial_corr(values: np.ndarray, i: int, j: int, k) -> float:
     res_i = values[:, i] - design @ beta_i
     res_j = values[:, j] - design @ beta_j
     return float(np.corrcoef(res_i, res_j)[0, 1])
+
+
+def kernel_factor_oracle(arr: np.ndarray, reg: float) -> np.ndarray:
+    """hsic._factor with its m x m solve through scipy.linalg's checked wrappers.
+
+    Everything up to the centered pivoted-Cholesky factor L is the package's
+    own; the tail solves C C^T = L^T L + reg I with scipy.linalg.cholesky and
+    solve_triangular, whose bits _factor's direct LAPACK calls must match.
+    """
+    n = len(arr)
+    condensed = hsic._kernel(arr)
+    if condensed is None:
+        return np.zeros((n, 0))
+    packed, piv, rank, _ = lapack.dpstrf(hsic._full_kernel(condensed).T, tol=hsic._PIVOT_TOL,
+                                         lower=1, overwrite_a=1)
+    low = np.empty((n, rank))
+    low[piv - 1] = np.tril(packed[:, :rank])
+    low -= low.mean(axis=0)
+    inner = low.T @ low
+    inner[np.diag_indices(rank)] += reg
+    chol = sla.cholesky(inner, lower=True)
+    return sla.solve_triangular(chol, low.T, lower=True).T

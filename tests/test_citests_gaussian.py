@@ -252,15 +252,43 @@ class TestAgainstSemOracle:
 
 
 def _reference_partial_correlation(sigma: np.ndarray, query: CiQuery) -> float:
-    # The Schur-complement formula on the full sub-block, with checked
-    # Cholesky factor and solve.
+    # The Schur-complement formula on the full sub-block, with scipy.linalg's
+    # checked Cholesky factor and solve, and the package's error rules: a
+    # failed factor or a pivot below 1e-12 of the trace is collinear, and a
+    # residual variance at or below zero is degenerate.
     idx = [query.i, query.j, *query.k]
     sub = sigma[np.ix_(idx, idx)]
     cond = sub[:2, :2]
     if query.k:
-        chol = sla.cholesky(sub[2:, 2:], lower=True)
+        s22 = sub[2:, 2:]
+        try:
+            chol = sla.cholesky(s22, lower=True)
+        except sla.LinAlgError:
+            raise CiTestError("conditioning set collinear") from None
+        if np.min(np.diag(chol)) ** 2 < 1e-12 * np.trace(s22):
+            raise CiTestError("conditioning set collinear")
         cond = cond - sub[:2, 2:] @ sla.cho_solve((chol, True), sub[:2, 2:].T)
+    if cond[0, 0] <= 0.0 or cond[1, 1] <= 0.0:
+        raise CiTestError("degenerate residual variance")
     return float(cond[0, 1] / math.sqrt(cond[0, 0] * cond[1, 1]))
+
+
+def _every_query(p: int):
+    # Ordered pairs, every conditioning set up to size p - 2.
+    for i in range(p):
+        for j in range(p):
+            if i != j:
+                others = [v for v in range(p) if v not in (i, j)]
+                for level in range(p - 1):
+                    for k in combinations(others, level):
+                        yield CiQuery(i, j, k)
+
+
+def _outcome(partial, query: CiQuery) -> str:
+    try:
+        return partial(query).hex()
+    except CiTestError as exc:
+        return str(exc)
 
 
 def _reference_gamma(alpha: float, n: int, cond_size: int) -> float:
@@ -279,22 +307,44 @@ class TestBitForBit:
             a = rng.normal(size=(self.P, self.P))
             yield CovMatrix(a @ a.T + 0.1 * np.eye(self.P), n=500)
 
-    def test_partial_correlation_levels_0_to_3(self):
+    def test_partial_correlation_every_level(self):
         checked = 0
         for cov in self._covariances():
-            for i in range(self.P):
-                for j in range(self.P):
-                    if i == j:
-                        continue
-                    others = [v for v in range(self.P) if v not in (i, j)]
-                    for level in range(4):
-                        for k in combinations(others, level):
-                            query = CiQuery(i, j, k)
-                            got = partial_correlation(cov, query)
-                            want = _reference_partial_correlation(cov.sigma, query)
-                            assert got.hex() == want.hex(), query
-                            checked += 1
-        assert checked == 8 * 30 * (1 + 4 + 6 + 4)
+            for query in _every_query(self.P):
+                got = partial_correlation(cov, query)
+                want = _reference_partial_correlation(cov.sigma, query)
+                assert got.hex() == want.hex(), query
+                checked += 1
+        assert checked == 8 * 30 * (1 + 4 + 6 + 4 + 1)
+
+    @pytest.mark.parametrize("case, messages", [
+        ("duplicated", {"conditioning set collinear", "degenerate residual variance"}),
+        ("constant", {"conditioning set collinear", "degenerate residual variance"}),
+        ("determined", {"degenerate residual variance"}),
+    ])
+    def test_same_errors_at_the_same_queries(self, case, messages):
+        # 32 rows of +-1 and +-2 Walsh columns give exact covariances with
+        # square-root pivots, so a copy or an exact combination leaves a
+        # residual variance of exactly zero; columns 1 and 4 are normal draws.
+        walsh = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]] * 8)
+        values = np.column_stack([
+            np.zeros(32), make_generator(9303).normal(size=32), 2.0 * walsh[:, 0],
+            walsh[:, 1], make_generator(9304).normal(size=32),
+        ])
+        if case == "duplicated":
+            values[:, 0] = values[:, 2]
+        elif case == "constant":
+            values[:, 0] = make_generator(9305).normal(size=32)
+            values[:, 4] = 2.5
+        else:
+            values[:, 0] = values[:, 2] + values[:, 3]
+        cov = sample_covariance(values)
+        queries = list(_every_query(5))
+        got = [_outcome(lambda q: partial_correlation(cov, q), q) for q in queries]
+        want = [_outcome(lambda q: _reference_partial_correlation(cov.sigma, q), q)
+                for q in queries]
+        assert got == want
+        assert messages <= set(want)
 
     def test_gaussian_gamma(self):
         for alpha in (1e-6, 0.001, 0.01, 0.05, 0.2, 0.5, 0.6, 0.999):

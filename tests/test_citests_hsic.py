@@ -24,6 +24,8 @@ from tspc.citests.hsic import centered_gram, check_kernel_range, median_bandwidt
 from tspc.pc import PcConfig, pc
 from tspc.rng import derive_seed, make_generator
 
+from .oracles import kernel_factor_oracle
+
 NO_Z = np.empty((0, 0))
 
 
@@ -258,6 +260,21 @@ class TestAgainstDenseResolvents:
         rows = make_generator(derive_seed(92, size)).integers(0, 200, size=200)
         assert len(np.unique(rows)) < 150
         self.assert_close(x[rows], y[rows], z[rows])
+
+
+class TestFactorBitForBit:
+    """_factor's direct LAPACK tail returns exactly the bits of scipy.linalg's wrappers."""
+
+    @pytest.mark.parametrize("columns", [1, 2, 3])
+    @pytest.mark.parametrize("n", [50, 400])
+    def test_matches_the_scipy_tail(self, n, columns):
+        x, _, z = accuracy_sample(n, 3, 4)
+        block = np.column_stack([x, z])[:, :columns]
+        reg = n * n ** (-hsic_module._EPS_EXPONENT)
+        got = hsic_module._factor(block, reg)
+        want = kernel_factor_oracle(block, reg)
+        assert got.shape == want.shape and got.shape[1] > 0
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCiTest:
