@@ -3,8 +3,9 @@
 Blocks have geometric length (restart probability 1 / expected length) and
 wrap around the end of the sample, which preserves stationarity of the
 resampled series.  The threshold helper returns an empirical quantile of the
-statistic over resampled data sets; with the quantile set to 1 - alpha it
-acts as a critical value calibrated under the observed dependence.
+statistic over resampled data sets, all handed to the statistic at once;
+with the quantile set to 1 - alpha it acts as a critical value calibrated
+under the observed dependence.
 """
 
 from __future__ import annotations
@@ -62,14 +63,17 @@ def stationary_bootstrap_indices(
 
 def stationary_bootstrap_threshold(
     values: DataMatrix | np.ndarray,
-    statistic: Callable[[np.ndarray], float],
+    statistic: Callable[[np.ndarray], np.ndarray],
     config: BootstrapConfig = BootstrapConfig(),
 ) -> float:
     """Empirical quantile of the statistic over stationary-bootstrap resamples.
 
-    Requires at least ten expected block lengths of data so a resample mixes
-    more than a couple of blocks.  Each call builds its own generator from
-    config.seed, so equal inputs give equal thresholds.
+    statistic is called once, with the (num_replicates, n, p) stack of all
+    resamples in the order they are drawn, and returns one value per
+    resample, so it can batch work across them.  Requires at least ten
+    expected block lengths of data so a resample mixes more than a couple of
+    blocks.  Each call builds its own generator from config.seed, so equal
+    inputs give equal thresholds.
     """
     if isinstance(values, DataMatrix):
         values = values.values
@@ -83,8 +87,12 @@ def stationary_bootstrap_threshold(
             f"with block length {config.expected_block_length}"
         )
     rng = make_generator(config.seed)
-    stats = np.empty(config.num_replicates, dtype=np.float64)
-    for b in range(config.num_replicates):
-        idx = stationary_bootstrap_indices(n, config.expected_block_length, rng)
-        stats[b] = statistic(arr[idx])
+    idx = np.stack([stationary_bootstrap_indices(n, config.expected_block_length, rng)
+                    for _ in range(config.num_replicates)])
+    stats = np.asarray(statistic(arr[idx]), dtype=np.float64)
+    if stats.shape != (config.num_replicates,):
+        raise ValueError(
+            f"the statistic must return one value per resample, got shape {stats.shape} "
+            f"for {config.num_replicates} resamples"
+        )
     return float(np.quantile(stats, config.quantile, method="higher"))

@@ -22,18 +22,30 @@ positive semidefinite with trace at most 1e-12 n (the kernel's diagonal is
 of F gives G = L L^T, and the push-through identity (Bach and Jordan, Kernel
 independent component analysis, JMLR 2002) gives R = V V^T with
 V = L C^{-T}, C C^T = L^T L + n eps_n I, which is m x m for a rank m.  Each
-trace term is then a product of small matrices V_a^T V_b.  The centered Gram
-matrices of one- and two-column blocks at a few hundred rows have ranks of
-about 20 and 100.  centered_gram builds the dense G from the same kernel;
-it is the reference the tests compare the factors against.
+trace term is then a product of small matrices V_a^T V_b.  centered_gram
+builds the dense G from the same kernel; it is the reference the tests
+compare the factors against.
 
-Every statistic comes from a ColumnFactors, which caps the rows and checks
-their range.  A search builds one and keeps single-column factors for its
-life; hsic_conditional and hsic_ci_test build one per query.
+The factor is chosen by block width.  The centered Gram matrices of one- and
+two-column blocks at a few hundred rows have ranks of about 20 and 100, and
+at 50 rows of about 16 and 48.  A single column is factored on demand, as in
+Bach and Jordan's incomplete Cholesky: a kernel column is computed only when
+its row becomes a pivot, with the bits of the dense kernel, and the loop runs
+on batches of columns so its Python overhead is paid once per batch.  A wider
+block, of much higher rank, keeps the dense kernel and LAPACK dpstrf.
+
+Every statistic of a search or a single query comes from a ColumnFactors,
+which caps the rows and checks their range.  A search builds one, factors
+every single column in one batch and keeps those factors for its life;
+hsic_conditional and hsic_ci_test build one per query.  pair_gamma checks
+its capped pair once and factors the x and y columns of all its bootstrap
+resamples in batches: the bootstrap hands its statistic the stack of
+resamples.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,6 +75,9 @@ _EPS_EXPONENT = 0.25
 # The pivoted Cholesky factor of a kernel stops at the first pivot at most
 # this; the kernel's diagonal is 1, so the dropped trace is at most this * n.
 _PIVOT_TOL = 1e-12
+
+# Single-column blocks are factored in batches of this many.
+_CHUNK = 16
 
 # pair_gamma's row minimum: ten bootstrap rows per block of at least 2 rows.
 CALIBRATION_MIN_ROWS = 20
@@ -105,7 +120,7 @@ def median_bandwidth(samples: np.ndarray) -> float:
 
 
 def _median_root(sq: np.ndarray) -> float:
-    """np.median(np.sqrt(sq)), bit for bit, from one partition of sq.
+    """np.median(np.sqrt(sq)), bit for bit, from one partition of sq in place.
 
     sqrt is monotone, so the middle order statistics of the roots are the
     roots of those of sq.  For an even count np.median partitions at two
@@ -113,27 +128,41 @@ def _median_root(sq: np.ndarray) -> float:
     part.
     """
     k = len(sq) // 2
-    part = np.partition(sq, k)
-    upper = np.sqrt(part[k])
+    sq.partition(k)
+    upper = np.sqrt(sq[k])
     if len(sq) % 2:
         return float(upper)
-    return float((np.sqrt(part[:k].max()) + upper) / 2.0)
+    return float((np.sqrt(sq[:k].max()) + upper) / 2.0)
+
+
+def _bandwidth(sq: np.ndarray) -> float:
+    """The kernel bandwidth from condensed squared distances; 0.0 when all are 0.
+
+    The median pairwise distance, or the median positive distance when more
+    than half of the pairs are tied.  Reorders sq: at a few hundred rows a
+    partitioned copy beside sq costs more than the partition, because the
+    pair of n^2/2 buffers is paged in afresh on every call (about 280 page
+    faults at 400 rows, against 1 in place).
+    """
+    h = _median_root(sq)
+    if h == 0.0:
+        positive = sq[sq > 0.0]
+        if positive.size == 0:
+            return 0.0
+        h = _median_root(positive)
+    return h
 
 
 def _kernel(arr: np.ndarray) -> np.ndarray | None:
     """Condensed Gaussian-kernel values of the row pairs (pdist order).
 
-    The kernel is k(a, b) = exp(-||a - b||^2 / (2 h^2)) with h the median
-    pairwise distance, or the median positive distance when more than half of
-    the pairs are tied.  None when every row is identical.
+    The kernel is k(a, b) = exp(-||a - b||^2 / (2 h^2)) with h the
+    _bandwidth of the rows.  None when every row is identical.
     """
     sq = pdist(arr, "sqeuclidean")
-    h = _median_root(sq)
+    h = _bandwidth(sq.copy())
     if h == 0.0:
-        positive = sq[sq > 0.0]
-        if positive.size == 0:
-            return None
-        h = _median_root(positive)
+        return None
     # exp(-sq / (2 h^2)), in place
     np.divide(sq, -2.0 * h * h, out=sq)
     return np.exp(sq, out=sq)
@@ -171,7 +200,8 @@ def centered_gram(samples: np.ndarray) -> np.ndarray:
 def _factor(arr: np.ndarray, reg: float) -> np.ndarray:
     """V (n x m) with V V^T = G (G + reg I)^{-1} for the block's centered Gram G.
 
-    A block whose rows are all identical has G = 0 and gives an n x 0 factor.
+    The dense path, for blocks of two or more columns.  A block whose rows are
+    all identical has G = 0 and gives an n x 0 factor.
     """
     n = len(arr)
     condensed = _kernel(arr)
@@ -184,13 +214,94 @@ def _factor(arr: np.ndarray, reg: float) -> np.ndarray:
     # dpstrf factors K[piv, piv] = L L^T, so row piv[a] of K's factor is row a of L.
     low = np.empty((n, rank))
     low[piv - 1] = np.tril(packed[:, :rank])
+    return _push_through(low, reg)
+
+
+def _push_through(low: np.ndarray, reg: float) -> np.ndarray:
+    """V = L_c C^{-T} for the kernel factor L (n x m, overwritten with L_c).
+
+    L_c is L with centered columns and C C^T = L_c^T L_c + reg I.
+    """
     low -= low.mean(axis=0)
     inner = low.T @ low
-    inner[np.diag_indices(rank)] += reg
+    inner[np.diag_indices(low.shape[1])] += reg
     # The calls behind scipy.linalg.cholesky and solve_triangular; the reg
     # shift makes inner positive definite.
     chol, _ = lapack.dpotrf(inner, lower=1, clean=1)
     return lapack.dtrtrs(chol, low.T, lower=1, overwrite_b=1)[0].T
+
+
+def _single_factors(columns: np.ndarray, reg: float) -> Iterator[np.ndarray]:
+    """_factor's V for each row of columns (B x n), taken as a one-column block.
+
+    A one-column kernel has rank of about 20 at a few hundred rows, so the
+    pivoted Cholesky evaluates only its pivot columns (Bach and Jordan's
+    incomplete Cholesky), for _CHUNK blocks at a time.  The bandwidth and
+    every kernel entry have the bits of _kernel, and a block's factor has
+    the same bits whatever else shares its chunk.  Factors are yielded in
+    order and computed a chunk at a time, so a caller that consumes them as
+    they come holds one chunk, not all of them.
+    """
+    n = columns.shape[1]
+    for start in range(0, len(columns), _CHUNK):
+        chunk = columns[start:start + _CHUNK]
+        bandwidths = [_bandwidth(pdist(column[:, None], "sqeuclidean")) for column in chunk]
+        live = [b for b, h in enumerate(bandwidths) if h != 0.0]
+        scale = np.array([-2.0 * bandwidths[b] * bandwidths[b] for b in live])
+        lows = iter(_pivoted_cholesky(chunk[live], scale))
+        for h in bandwidths:
+            yield np.zeros((n, 0)) if h == 0.0 else _push_through(next(lows), reg)
+
+
+def _pivoted_cholesky(x: np.ndarray, scale: np.ndarray) -> list[np.ndarray]:
+    """Pivoted Cholesky factors K ~ L L^T (n x rank) of the kernels of the rows of x.
+
+    Row b's kernel is exp((x_i - x_j)^2 / scale[b]); its column j is computed
+    only when j becomes a pivot.  The rules are dpstrf's: each step pivots on
+    the largest residual diagonal 1 - sum_k L_ik^2 (the first such row on a
+    tie), and a factor stops once no pivot exceeds _PIVOT_TOL.  A pivoted
+    row's residual is then zero up to rounding, far below the tolerance, so
+    it is never chosen again, and its later entries, exact zeros in dpstrf,
+    are rounding residue.  Rows of a finished factor go on being computed,
+    unused, until the batch ends.
+    """
+    count, n = x.shape
+    rows = np.arange(count)
+    # factor[b, j] is column j of row b's L; the stack doubles when full.
+    factor = np.empty((count, min(n, 32), n))
+    col = np.empty((count, n))
+    sumsq = np.zeros((count, n))
+    residual = np.ones((count, n))
+    rank = np.zeros(count, dtype=np.intp)
+    live = np.ones(count, dtype=bool)
+    for j in range(n):
+        pivot = residual.argmax(axis=1)
+        top = residual[rows, pivot]
+        live &= top > _PIVOT_TOL
+        if not live.any():
+            break
+        rank += live
+        if j == factor.shape[1]:
+            factor = np.concatenate([factor, np.empty_like(factor)], axis=1)[:, :n]
+        # _kernel's operations on the pivot's column: (x_i - x_p)^2 / scale, exp.
+        np.subtract(x, x[rows, pivot, None], out=col)
+        np.multiply(col, col, out=col)
+        np.divide(col, scale[:, None], out=col)
+        np.exp(col, out=col)
+        col -= (factor[rows, :j, pivot][:, None, :] @ factor[:, :j])[:, 0]
+        root = np.sqrt(top, where=live, out=np.ones(count))
+        col /= root[:, None]
+        factor[:, j] = col
+        np.multiply(col, col, out=col)
+        sumsq += col
+        np.subtract(1.0, sumsq, out=residual)
+    # Transposed views: the n x rank factor in Fortran order.
+    return [factor[b, :rank[b]].T for b in range(count)]
+
+
+def _regularizer(n: int) -> float:
+    """reg = n eps_n of the resolvent G (G + reg I)^{-1} at n rows."""
+    return n * n ** (-_EPS_EXPONENT)
 
 
 def _statistic(vx: np.ndarray, vy: np.ndarray, vz: np.ndarray | None) -> float:
@@ -214,11 +325,12 @@ class ColumnFactors:
     """The statistic for queries (i, j | k) on the columns of one sample.
 
     Rows are capped once, to the strided subset of config.max_rows rows, and
-    pass check_kernel_range before the 4-row minimum applies.  The
-    factor of each single column is kept for the life of the object: those
-    are the unconditional endpoints and the one-column conditioning sets a
-    search asks for again and again.  A block of two or more columns is
-    factored per query, so what is kept stays within p * n * rank.
+    pass check_kernel_range before the 4-row minimum applies.  Every single
+    column is factored at construction, in one batch, and kept for the life
+    of the object: those are the unconditional endpoints and the one-column
+    conditioning sets a search asks for again and again.  A block of two or
+    more columns is factored per query, so what is kept stays within
+    p * n * rank.
     """
 
     def __init__(self, values: np.ndarray, config: HsicConfig = HsicConfig()) -> None:
@@ -227,16 +339,14 @@ class ColumnFactors:
         n = len(self._values)
         if n < 4:
             raise ValueError(f"need at least 4 rows, got {n}")
-        self._reg = n * n ** (-_EPS_EXPONENT)
-        self._single: dict[int, np.ndarray] = {}
+        self._reg = _regularizer(n)
+        # Level 0 of a search asks for every single column.
+        self._single = list(_single_factors(self._values.T, self._reg))
 
     def _block(self, columns: tuple[int, ...]) -> np.ndarray:
         if len(columns) > 1:
             return _factor(self._values[:, columns], self._reg)
-        (c,) = columns
-        if c not in self._single:
-            self._single[c] = _factor(self._values[:, columns], self._reg)
-        return self._single[c]
+        return self._single[columns[0]]
 
     def statistic(self, i: int, j: int, k: tuple[int, ...]) -> float:
         if not k:
@@ -328,7 +438,9 @@ def pair_gamma(
     quantile of the unconditional statistic, which then serves as one fixed
     gamma for every query of a search.  Rows are capped at config.max_rows
     and the block length is clamped to a tenth of the row count (at least 2)
-    so inputs down to CALIBRATION_MIN_ROWS rows still calibrate.
+    so inputs down to CALIBRATION_MIN_ROWS rows still calibrate.  The capped
+    pair is checked once, before the bootstrap: check_kernel_range, and no
+    constant column, whose every resample would give the statistic 0.
     """
     arr = np.asarray(pair, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -337,12 +449,23 @@ def pair_gamma(
     if len(arr) < CALIBRATION_MIN_ROWS:
         raise ValueError(f"need at least {CALIBRATION_MIN_ROWS} rows to calibrate, got {len(arr)}")
     check_kernel_range(arr)
+    constant = np.flatnonzero(np.ptp(arr, axis=0) == 0.0)
+    if constant.size:
+        named = ", ".join(str(c + 1) for c in constant)
+        raise ValueError(
+            f"calibration column(s) {named}: constant over all {len(arr)} rows, so every "
+            "bootstrap statistic would be 0 and no threshold can be calibrated"
+        )
     block = max(2.0, min(boot.expected_block_length, arr.shape[0] / 10.0))
     if block != boot.expected_block_length:
         boot = replace(boot, expected_block_length=block)
 
-    def stat(resampled: np.ndarray) -> float:
-        return hsic_conditional(resampled[:, 0], resampled[:, 1], None)
+    reg = _regularizer(len(arr))
+
+    def stat(resamples: np.ndarray) -> np.ndarray:
+        xs = _single_factors(resamples[:, :, 0], reg)
+        ys = _single_factors(resamples[:, :, 1], reg)
+        return np.array([_statistic(vx, vy, None) for vx, vy in zip(xs, ys)])
 
     return stationary_bootstrap_threshold(arr, stat, boot)
 

@@ -15,6 +15,11 @@ def abs_corr(values: np.ndarray) -> float:
     return float(abs(np.corrcoef(values[:, 0], values[:, 1])[0, 1]))
 
 
+def abs_corrs(resamples: np.ndarray) -> np.ndarray:
+    """abs_corr of each resample in the stack the threshold passes."""
+    return np.array([abs_corr(values) for values in resamples])
+
+
 class TestConfig:
     def test_zero_replicates_rejected(self):
         with pytest.raises(ValueError):
@@ -56,39 +61,65 @@ class TestThreshold:
         rng = make_generator(3)
         values = rng.normal(size=(100, 2))
         cfg = BootstrapConfig(num_replicates=1, expected_block_length=5.0, quantile=0.95, seed=11)
-        thr = stationary_bootstrap_threshold(values, abs_corr, cfg)
+        thr = stationary_bootstrap_threshold(values, abs_corrs, cfg)
         idx = stationary_bootstrap_indices(100, 5.0, make_generator(11))
         assert thr == pytest.approx(abs_corr(values[idx]))
+
+    @pytest.mark.parametrize("n,block", [(40, 4.0), (200, 12.5)])
+    def test_statistic_gets_the_drawn_resamples_in_order(self, n, block):
+        # one call with the (replicates, n, p) stack of exactly the resamples
+        # stationary_bootstrap_indices draws from the seed's stream, in order
+        values = make_generator(derive_seed(7, n)).normal(size=(n, 3))
+        cfg = BootstrapConfig(num_replicates=30, expected_block_length=block, seed=14)
+        seen = []
+
+        def record(resamples: np.ndarray) -> np.ndarray:
+            seen.append(resamples.copy())
+            return resamples[:, 0, 0]
+
+        stationary_bootstrap_threshold(values, record, cfg)
+        rng = make_generator(14)
+        drawn = [values[stationary_bootstrap_indices(n, block, rng)] for _ in range(30)]
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], np.stack(drawn))
+
+    def test_statistic_must_give_one_value_per_resample(self):
+        values = make_generator(8).normal(size=(60, 2))
+        cfg = BootstrapConfig(num_replicates=10, expected_block_length=5.0)
+        with pytest.raises(ValueError, match=r"one value per resample, got shape \(\) for 10"):
+            stationary_bootstrap_threshold(values, lambda resamples: 0.5, cfg)
 
     def test_quantile_zero_is_minimum(self):
         rng = make_generator(4)
         values = rng.normal(size=(80, 2))
         base = dict(num_replicates=25, expected_block_length=4.0, seed=12)
-        lo = stationary_bootstrap_threshold(values, abs_corr, BootstrapConfig(quantile=0.0, **base))
-        hi = stationary_bootstrap_threshold(values, abs_corr, BootstrapConfig(quantile=1.0, **base))
-        mid = stationary_bootstrap_threshold(values, abs_corr, BootstrapConfig(quantile=0.5, **base))
-        assert lo <= mid <= hi
+
+        def threshold(quantile: float) -> float:
+            return stationary_bootstrap_threshold(values, abs_corrs,
+                                                  BootstrapConfig(quantile=quantile, **base))
+
+        assert threshold(0.0) <= threshold(0.5) <= threshold(1.0)
 
     def test_short_sample_rejected(self):
         values = np.zeros((50, 2))
         cfg = BootstrapConfig(expected_block_length=20.0)
         with pytest.raises(ValueError, match="10"):
-            stationary_bootstrap_threshold(values, abs_corr, cfg)
+            stationary_bootstrap_threshold(values, abs_corrs, cfg)
 
     def test_accepts_data_matrix(self):
         rng = make_generator(5)
         d = DataMatrix(rng.normal(size=(60, 2)))
         cfg = BootstrapConfig(num_replicates=10, expected_block_length=5.0, seed=13)
-        thr_matrix = stationary_bootstrap_threshold(d, abs_corr, cfg)
-        thr_array = stationary_bootstrap_threshold(d.values, abs_corr, cfg)
+        thr_matrix = stationary_bootstrap_threshold(d, abs_corrs, cfg)
+        thr_array = stationary_bootstrap_threshold(d.values, abs_corrs, cfg)
         assert thr_matrix == thr_array
 
     def test_deterministic_given_seed(self):
         rng = make_generator(6)
         values = rng.normal(size=(120, 2))
         cfg = BootstrapConfig(num_replicates=40, expected_block_length=6.0, quantile=0.9, seed=21)
-        a = stationary_bootstrap_threshold(values, abs_corr, cfg)
-        b = stationary_bootstrap_threshold(values, abs_corr, cfg)
+        a = stationary_bootstrap_threshold(values, abs_corrs, cfg)
+        b = stationary_bootstrap_threshold(values, abs_corrs, cfg)
         assert a == b
 
     def test_null_rejection_rate_near_nominal(self):
@@ -101,7 +132,7 @@ class TestThreshold:
             rng = make_generator(derive_seed(60, b))
             base = rng.normal(size=(500, 2))
             thr = stationary_bootstrap_threshold(
-                base, abs_corr, BootstrapConfig(seed=derive_seed(61, b), **cfg_base)
+                base, abs_corrs, BootstrapConfig(seed=derive_seed(61, b), **cfg_base)
             )
             for s in range(10):
                 fresh = make_generator(derive_seed(62, b, s)).normal(size=(500, 2))

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import pdist, squareform
 
@@ -20,6 +22,7 @@ from tspc.citests import (
     pair_gamma,
     stationary_bootstrap_threshold,
 )
+from tspc.citests.bootstrap import stationary_bootstrap_indices
 from tspc.citests.hsic import centered_gram, check_kernel_range, median_bandwidth, strided_subset
 from tspc.pc import PcConfig, pc
 from tspc.rng import derive_seed, make_generator
@@ -33,6 +36,11 @@ def empty_z(n: int) -> np.ndarray:
     return np.empty((n, 0))
 
 
+def resample_statistics(resamples: np.ndarray) -> np.ndarray:
+    """The unconditional statistic of each two-column resample, one query at a time."""
+    return np.array([hsic_conditional(v[:, 0], v[:, 1], None) for v in resamples])
+
+
 def null_calibrated_gamma(n: int, cal_seed: int, boot_seed: int,
                           num_replicates: int = 50, block: float = 15.0) -> float:
     """Bootstrap quantile of the statistic on an independent reference pair.
@@ -44,12 +52,9 @@ def null_calibrated_gamma(n: int, cal_seed: int, boot_seed: int,
     rng = make_generator(cal_seed)
     cal = np.column_stack([rng.normal(size=n), rng.normal(size=n)])
 
-    def stat(values: np.ndarray) -> float:
-        return hsic_conditional(values[:, 0], values[:, 1], empty_z(values.shape[0]))
-
     return stationary_bootstrap_threshold(
         cal,
-        stat,
+        resample_statistics,
         BootstrapConfig(num_replicates=num_replicates, expected_block_length=block,
                         quantile=0.95, seed=boot_seed),
     )
@@ -277,6 +282,98 @@ class TestFactorBitForBit:
         assert got.tobytes() == want.tobytes()
 
 
+@st.composite
+def one_columns(draw, sizes=(4, 5, 10, 23, 50, 400)):
+    """One column: normal draws, rounded (ties), mostly tied, constant or evenly spaced."""
+    n = draw(st.sampled_from(sizes))
+    kind = draw(st.sampled_from(["normal", "rounded", "mostly tied", "constant", "spaced"]))
+    rng = make_generator(draw(st.integers(0, 2**31 - 1)))
+    if kind == "constant":
+        return np.full(n, rng.normal())
+    if kind == "spaced":
+        return rng.normal() + rng.uniform(0.1, 10.0) * np.arange(n)
+    column = rng.normal(size=n)
+    if kind == "rounded":
+        return np.round(column)
+    if kind == "mostly tied":
+        # more than half of the pairs tied, so the positive-median rule sets h
+        column[: int(0.78 * n)] = 0.0
+    return column
+
+
+def single_factor(column: np.ndarray) -> np.ndarray:
+    reg = hsic_module._regularizer(len(column))
+    (factor,) = hsic_module._single_factors(column[None, :], reg)
+    return factor
+
+
+class TestSingleColumnFactors:
+    """The batched on-demand factor of one-column blocks against the dense _factor."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(column=one_columns())
+    @example(column=np.full(4, 1.5))  # constant: n x 0
+    @example(column=np.arange(10.0))  # evenly spaced and short: full rank 10
+    @example(column=np.r_[np.zeros(39), make_generator(95).normal(size=11)])
+    @example(column=make_generator(96).normal(size=400))
+    def test_matches_the_dense_factor(self, column):
+        n = len(column)
+        got = single_factor(column)
+        want = hsic_module._factor(column[:, None], hsic_module._regularizer(n))
+        assert got.shape == want.shape
+        assert np.abs(got @ got.T - want @ want.T).max(initial=0.0) <= 1e-14
+
+    def test_short_spaced_column_reaches_full_rank(self):
+        assert single_factor(np.arange(10.0)).shape == (10, 10)
+        assert single_factor(np.full(4, -2.0)).shape == (4, 0)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(column=one_columns(sizes=(4, 23, 50)), seed=st.integers(0, 2**31 - 1),
+           others=st.integers(0, 2 * hsic_module._CHUNK), data=st.data())
+    def test_same_bits_alone_or_in_a_chunk(self, column, seed, others, data):
+        # the column among up to two chunks of others, constant ones included
+        n = len(column)
+        rng = make_generator(seed)
+        batch = rng.normal(size=(others + 1, n)) * rng.uniform(0.1, 10.0, size=(others + 1, 1))
+        batch[rng.random(others + 1) < 0.2] = 1.0
+        at = data.draw(st.integers(0, others))
+        batch[at] = column
+        alone = single_factor(column)
+        together = list(hsic_module._single_factors(batch, hsic_module._regularizer(n)))
+        assert together[at].shape == alone.shape
+        assert together[at].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 50, 400])
+    def test_kernel_entries_have_the_dense_bits(self, n):
+        # the first pivot is row 0 and its factor column is the kernel's
+        # column 0 divided by 1, so it must be _kernel's bits exactly
+        x = make_generator(derive_seed(97, n)).normal(size=(2, n))
+        scales = []
+        for column in x:
+            h = hsic_module._bandwidth(pdist(column[:, None], "sqeuclidean"))
+            scales.append(-2.0 * h * h)
+        lows = hsic_module._pivoted_cholesky(x, np.array(scales))
+        for column, low in zip(x, lows):
+            kernel = hsic_module._full_kernel(hsic_module._kernel(column[:, None]))
+            assert np.array_equal(low[:, 0], kernel[:, 0])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(x=one_columns(sizes=(4, 10, 23, 50)), seed=st.integers(0, 2**31 - 1),
+           conditioned=st.booleans())
+    def test_statistic_matches_the_dense_oracle(self, x, seed, conditioned):
+        # single-column blocks are x and y unconditionally and z given one
+        # column.  Each factor drops a kernel part of trace at most 1e-12 n,
+        # as the dense path does; that moves a statistic by about 1e-14, the
+        # floor for statistics near 0.
+        n = len(x)
+        rng = make_generator(seed)
+        z = rng.normal(size=(n, int(conditioned)))
+        y = np.sin(x) + rng.normal(size=n) + (z[:, 0] if conditioned else 0.0)
+        got = ColumnFactors(np.column_stack([x, y, z])).statistic(0, 1, (2,) if conditioned else ())
+        want = dense_statistic(x, y, z)
+        assert got == pytest.approx(want, rel=1e-12, abs=5e-14)
+
+
 class TestCiTest:
     def test_exactly_one_calibration_mode(self):
         # a fixed gamma is the only threshold policy, so it must be set
@@ -400,15 +497,46 @@ class TestPairGamma:
         base = dict(num_replicates=20, quantile=0.9, seed=5)
         gamma = pair_gamma(pair, BootstrapConfig(expected_block_length=20.0, **base),
                            HsicConfig(max_rows=150))
-
-        def stat(values: np.ndarray) -> float:
-            return hsic_conditional(values[:, 0], values[:, 1], None)
-
         reference = stationary_bootstrap_threshold(
-            pair[strided_subset(600, 150)], stat,
+            pair[strided_subset(600, 150)], resample_statistics,
             BootstrapConfig(expected_block_length=15.0, **base),
         )
         assert gamma == reference
+
+    @pytest.mark.parametrize("rows", [20, 150])
+    def test_each_resample_statistic_is_the_single_query_one(self, monkeypatch, rows):
+        # the batched factors give every resample the statistic that
+        # hsic_conditional gives it alone; x is mostly tied, so some
+        # resamples hold a constant x and the statistic 0
+        calls = []
+
+        def capture(values, statistic, config):
+            calls.append((values, statistic, config))
+            return 1.0
+
+        monkeypatch.setattr(hsic_module, "stationary_bootstrap_threshold", capture)
+        rng = make_generator(derive_seed(81, rows))
+        pair = rng.normal(size=(rows, 2))
+        pair[rng.permutation(rows)[: rows - 3], 0] = 0.0
+        pair_gamma(pair, BootstrapConfig(expected_block_length=5.0))
+        (values, statistic, config), = calls
+        draw = make_generator(derive_seed(81, rows, 1))
+        resamples = np.stack([values[stationary_bootstrap_indices(rows, 2.0, draw)]
+                              for _ in range(60)])
+        want = resample_statistics(resamples)
+        assert (want == 0.0).any() and (want > 0.0).any()
+        np.testing.assert_allclose(statistic(resamples), want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_constant_column_named_before_the_bootstrap(self, monkeypatch, column):
+        # every resample's statistic would be 0, so the threshold would be 0
+        pair = make_generator(derive_seed(80, 8)).normal(size=(400, 2))
+        pair[:, column - 1] = 3.5
+        monkeypatch.setattr(hsic_module, "stationary_bootstrap_threshold",
+                            lambda *args: pytest.fail("bootstrap ran"))
+        with pytest.raises(ValueError, match=rf"calibration column\(s\) {column}: "
+                                             "constant over all 100 rows"):
+            pair_gamma(pair, BootstrapConfig(expected_block_length=5.0), HsicConfig(max_rows=100))
 
     def test_needs_two_columns(self):
         with pytest.raises(ValueError, match="two-column"):

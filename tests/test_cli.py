@@ -184,6 +184,25 @@ class TestDiscover:
         assert rc == code
         assert f"kernel distances are not finite in column(s) {column}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,rows", [
+        (["--method", "pc"], 60),
+        (["--method", "tpcs", "--tau", "2", "--stride", "1"], 59),
+        (["--method", "tpcns", "--tau", "2", "--stride", "1", "--L", "25"], 25),
+    ])
+    def test_constant_calibration_column_is_named(self, tmp_path, capsys, flags, rows):
+        # every resample's statistic would be 0; the calibration names the
+        # column before the bootstrap, and nothing is written
+        x = np.random.default_rng(1005).normal(size=(60, 3))
+        x[:, 0] = 4.0
+        src = tmp_path / "flat.csv"
+        write_csv(DataMatrix(x), src)
+        out = tmp_path / "o"
+        rc = main(["discover", *flags, "--test", "hsic", "--in", str(src), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: calibration column(s) 1: constant over all {rows} rows" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("test", ["gaussian", "hsic", "oracle"])
     @pytest.mark.parametrize("flags,nodes,message", [
         (["--method", "tpcs", "--tau", "100"], 300, "need at least tau=100 rows, got 60"),

@@ -49,7 +49,7 @@ def chain_csv(path, n=120, seed=31):
 
 DISCOVER_DIGESTS = {
     "gaussian": "8140e8a3acb0bc928815112949daf379655a99d0144665a16dc4a843bbdfc624",
-    "hsic": "0d78da059ca0b30527fc90f514d90de1437cc251b8c20dc1d788eeb42af1b560",
+    "hsic": "2ce6ef3bed62666bc0e89a5b103465f2b197e8c2e59dac4be56953aafc05a56f",
     "oracle": "4532c95fbbad62ee8653dbdc05e4b6844bcfc0f2ce296f5f92a4f0ea47b8daa7",
 }
 
@@ -106,7 +106,7 @@ WINDOWED_DIGESTS = {
     ("tpcs", "hsic"): {
         "graph.json": "210a3dcf9841255849d9234eaaf495142866f03a662503f5ed0d5e42bf98b8e0",
         "rolled.json": "fe82b8b840c0c70bd26c1d8d15b84794ab7c632db5c3160a670831d45161aca3",
-        "decisions.csv": "efad03a81f0f3c218d4b445516969c9ff3afa87ba6a2e2096b0f382c8477750b",
+        "decisions.csv": "d73c7bfaebc9f3bdbd89a8c06c4d6270b074c0aa48d77f128971786854fe09b0",
     },
     ("tpcns", "gaussian"): {
         "graph.json": "eff0b05276d2cf337d7c78053738968ff89f23d5173f8007660e0f1b88c8da7d",
