@@ -31,8 +31,11 @@ two-column blocks at a few hundred rows have ranks of about 20 and 100, and
 at 50 rows of about 16 and 48.  A single column is factored on demand, as in
 Bach and Jordan's incomplete Cholesky: a kernel column is computed only when
 its row becomes a pivot, with the bits of the dense kernel, and the loop runs
-on batches of columns so its Python overhead is paid once per batch.  A wider
-block, of much higher rank, keeps the dense kernel and LAPACK dpstrf.
+on batches of columns so its Python overhead is paid once per batch.  Its
+bandwidth comes from the sorted column: the differences of sorted values
+form a sorted matrix, so the middle ones are selected exactly, by counting
+pairs below a limit row by row, without listing all n^2 / 2 of them.  A
+wider block, of much higher rank, keeps the dense kernel and LAPACK dpstrf.
 
 Every statistic of a search or a single query comes from a ColumnFactors,
 which caps the rows and checks their range.  A search builds one, factors
@@ -45,6 +48,7 @@ resamples.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -78,6 +82,23 @@ _PIVOT_TOL = 1e-12
 
 # Single-column blocks are factored in batches of this many.
 _CHUNK = 16
+
+# The largest double whose square rounds to 0.0 (2^-537.5, rounded down): two
+# values at most this far apart have squared distance 0, a tie.
+_SQUARE_ZERO = float.fromhex("0x1.6a09e667f3bccp-538")
+
+# A single column's bandwidth selection samples this many candidate pairs per
+# row, and lists its candidates once at most _GATHER_PER_ROW per row are left.
+# The limits a sample proposes sit _MARGIN sqrt(n) samples outside the middle
+# ranks: a row-major sample misplaces a rank by up to about sqrt(n) samples.
+_SAMPLE_PER_ROW = 4
+_GATHER_PER_ROW = 32
+_MARGIN = 1.0
+
+# _bandwidths selects for at most this many columns at once: its
+# temporaries then stay below the 640 KB buffer that pdist fills for one
+# 400-row column, and below the allocator's 128 KB mmap threshold at 50 rows.
+_SELECT_COLUMNS = 8
 
 # pair_gamma's row minimum: ten bootstrap rows per block of at least 2 rows.
 CALIBRATION_MIN_ROWS = 20
@@ -231,23 +252,219 @@ def _push_through(low: np.ndarray, reg: float) -> np.ndarray:
     return lapack.dtrtrs(chol, low.T, lower=1, overwrite_b=1)[0].T
 
 
+def _pair_ends(padded: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """ends[b, i]: how many j have fl(s[b, j] - s[b, i]) <= limit[b] (limit >= 0).
+
+    s = padded[:, :-1] holds each column sorted and padded[:, -1] is inf.
+    The difference is monotone in s[b, j], so the j that qualify are those
+    before ends[b, i], which is past i.  searchsorted on fl(s + limit) finds
+    that end up to the rounding of the sum.  Each row it misses, checked
+    with the true differences on both sides of the end, widens a bracket
+    around the guess by steps of 1, 2, 4, ... until the difference fits at
+    its low end and not at its high end, then bisects it: a miss is
+    usually one place, at a limit that is itself a difference.
+    """
+    count, stride = padded.shape
+    s = padded[:, :-1]
+    keys = s + limit[:, None]
+    ends = np.array([row.searchsorted(key, "right") for row, key in zip(s, keys)])
+    flat = padded.ravel()
+    at = ends + (np.arange(count) * stride)[:, None]
+    missed = (flat[at - 1] - s > limit[:, None]) | (flat[at] - s <= limit[:, None])
+    if missed.any():
+        b, i = np.nonzero(missed)
+        base, cap = b * stride, limit[b]
+
+        def fits(j: np.ndarray) -> np.ndarray:
+            # j = i always fits and j = stride - 1, the inf pad, never does
+            return flat[base + np.clip(j, i, stride - 1)] - flat[base + i] <= cap
+
+        end = ends[b, i]
+        up = fits(end)
+        lo = np.where(up, end, end - 2)
+        hi = np.where(up, end + 1, end - 1)
+        step = 1
+        while True:
+            lo, hi = np.maximum(lo, i), np.minimum(hi, stride - 1)
+            low_fits, high_fits = fits(lo), fits(hi)
+            if (low_fits & ~high_fits).all():
+                break
+            step *= 2
+            lo, hi = (np.where(high_fits, hi, np.where(low_fits, lo, lo - step)),
+                      np.where(high_fits, hi + step, np.where(low_fits, hi, lo)))
+        while (hi - lo > 1).any():
+            mid = (lo + hi) // 2
+            inside = fits(mid)
+            lo = np.where(inside, mid, lo)
+            hi = np.where(inside, hi, mid)
+        ends[b, i] = hi
+    return ends
+
+
+def _pairs_between(padded: np.ndarray, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """fl(s[b, j] - s[b, i]) for lo[b, i] <= j < lo[b, i] + width[b, i], column by column, row-major.
+
+    padded is as for _pair_ends; width[b, i] may be 0.
+    """
+    count, stride = padded.shape
+    width = width.ravel()
+    starts = np.cumsum(width) - width
+    first = (lo + (np.arange(count) * stride)[:, None]).ravel()
+    # in place, and each index array dropped once used: at most two arrays
+    # of the pairs' size are alive at a time
+    at = np.repeat(first - starts, width)
+    at += np.arange(len(at))
+    pairs = padded.ravel()[at]
+    del at
+    pairs -= np.repeat(padded[:, :-1].ravel(), width)
+    return pairs
+
+
+def _narrowed(padded: np.ndarray, lo: np.ndarray, below: np.ndarray, hi: np.ndarray,
+              above: np.ndarray, lower: np.ndarray, upper: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """One round of _bandwidths' narrowing: (lo, below, hi, above) moved, or None.
+
+    Each column's candidates are its pairs (i, j) with lo[b, i] <= j < hi[b, i]:
+    `below` pairs come before them and `above` pairs before their end.  A
+    sample of _SAMPLE_PER_ROW candidates per row proposes two limits, a
+    margin outside the ranks lower and upper, and the exact count at each
+    limit keeps it where it still brackets them.  None when no column wider
+    than _GATHER_PER_ROW candidates per row moved.
+    """
+    count, n = lo.shape
+    samples = _SAMPLE_PER_ROW * n
+    margin = math.ceil(_MARGIN * math.sqrt(n))
+    size = above - below
+    # sample k of a column is candidate (2k + 1) size // (2 samples) in
+    # row-major order; row i holds those with k < (2 samples cum_i - size) / (2 size)
+    width = hi - lo
+    cum = np.cumsum(width, axis=1)
+    total = size[:, None]
+    taken = np.clip(-((total - 2 * samples * cum) // (2 * total)), 0, samples)
+    per_row = np.diff(taken, axis=1, prepend=0).ravel()
+    at = np.repeat((lo + width - cum + (np.arange(count) * (n + 1))[:, None]).ravel(), per_row)
+    at += ((2 * np.arange(samples) + 1) * total // (2 * samples)).ravel()
+    sample = padded.ravel()[at].reshape(count, samples)
+    del at
+    sample -= np.repeat(padded[:, :n].ravel(), per_row).reshape(count, samples)
+    sample.sort(axis=1)
+    k_lo = (lower - below) * samples // size - margin
+    k_hi = -(-(upper - below + 1) * samples // size) + margin
+    ends_lo = _pair_ends(padded, sample[np.arange(count), np.clip(k_lo, 0, samples - 1)])
+    ends_hi = _pair_ends(padded, sample[np.arange(count), np.clip(k_hi, 0, samples - 1)])
+    count_lo = ends_lo.sum(axis=1) - n * (n + 1) // 2
+    count_hi = ends_hi.sum(axis=1) - n * (n + 1) // 2
+    raise_lo = (k_lo >= 0) & (count_lo <= lower) & (count_lo > below)
+    drop_hi = (k_hi < samples) & (count_hi > upper) & (count_hi < above)
+    if not ((raise_lo | drop_hi) & (size > _GATHER_PER_ROW * n)).any():
+        return None
+    return (np.where(raise_lo[:, None], ends_lo, lo), np.where(raise_lo, count_lo, below),
+            np.where(drop_hi[:, None], ends_hi, hi), np.where(drop_hi, count_hi, above))
+
+
+def _bandwidths(columns: np.ndarray) -> np.ndarray:
+    """_bandwidth(pdist(c[:, None], "sqeuclidean")) for each row c of columns, bit for bit.
+
+    With s = sort(c), every squared distance of pdist is fl(d * d) for the
+    difference d = fl(s_j - s_i), i < j, of one pair: fl(a - b) = -fl(b - a),
+    so the order of the pair does not matter.  Rounding is monotone, so the
+    k-th smallest squared distance is the square of the k-th smallest
+    difference, and _median_root's rule runs on differences.  A pair is tied,
+    its squared distance 0, when d <= _SQUARE_ZERO.  The tied pairs of row i
+    are the j up to an end, and so are the pairs at or below any limit
+    (_pair_ends): differences in a sorted column form a sorted matrix, as in
+    Frederickson and Johnson's selection (1984).
+
+    The middle ranks are selected exactly without listing every pair.  A
+    bracket of candidate pairs per column starts with all untied pairs (all
+    pairs when the lower middle rank is a tied one), and _narrowed moves its
+    ends while it holds more than _GATHER_PER_ROW candidates per row.  The
+    candidates left are listed and partitioned, as _median_root does.  A
+    column with no untied pair has bandwidth 0.
+    """
+    count, n = columns.shape
+    if count > _SELECT_COLUMNS:
+        return np.concatenate([_bandwidths(columns[start:start + _SELECT_COLUMNS])
+                               for start in range(0, count, _SELECT_COLUMNS)])
+    pairs = n * (n - 1) // 2
+    padded = np.empty((count, n + 1))
+    padded[:, :n] = columns
+    padded[:, :n].sort(axis=1)
+    padded[:, n] = np.inf
+    first = np.arange(1, n + 1)  # row i's first partner
+    before = n * (n + 1) // 2  # sum(first): subtracted from a sum of ends to count pairs
+    gaps = padded[:, 1:n] - padded[:, :n - 1]
+    if ((gaps > 0.0) & (gaps <= _SQUARE_ZERO)).any():
+        tied_ends = _pair_ends(padded, np.full(count, _SQUARE_ZERO))
+    else:
+        # a difference past a nonzero gap exceeds that gap, so the pairs tied
+        # with row i are the equal values after it: they end where its run does
+        tied_ends = np.full((count, n), n)
+        tied_ends[:, :-1] = np.where(gaps != 0.0, first[:-1], n)
+        tied_ends = np.minimum.accumulate(tied_ends[:, ::-1], axis=1)[:, ::-1]
+    ties = tied_ends.sum(axis=1) - before
+    out = np.zeros(count)
+    live = ties < pairs
+    if not live.all():
+        if not live.any():
+            return out
+        padded, tied_ends, ties = padded[live], tied_ends[live], ties[live]
+        count = len(padded)
+    # _median_root's ranks, over all pairs or, when more than half are tied,
+    # over the untied ones, which follow the tied ones in order
+    mostly_tied = ties > pairs // 2
+    counted = np.where(mostly_tied, pairs - ties, pairs)
+    upper = np.where(mostly_tied, ties, 0) + counted // 2
+    lower = upper - (counted % 2 == 0)
+    # the bracket: `below` pairs lie before lo[b, i] and `above` before hi[b, i]
+    from_ties = ties <= lower
+    lo = np.where(from_ties[:, None], tied_ends, first)
+    below = np.where(from_ties, ties, 0)
+    hi = np.full((count, n), n)
+    above = np.full(count, pairs)
+    while (above - below > _GATHER_PER_ROW * n).any():
+        narrowed = _narrowed(padded, lo, below, hi, above, lower, upper)
+        if narrowed is None:
+            break
+        lo, below, hi, above = narrowed
+    # _median_root on the squares of the candidates: the one at rank
+    # upper - below, averaged for an even count with the largest below it
+    even = lower < upper
+    middle = np.zeros((2, count))
+    candidates = _pairs_between(padded, lo, hi - lo)
+    ends = np.cumsum(above - below).tolist()
+    for b, (start, end, k, pair) in enumerate(zip([0] + ends, ends, (upper - below).tolist(),
+                                                   even.tolist())):
+        column = candidates[start:end]
+        column.partition(k)
+        middle[1, b] = column[k]
+        if pair:
+            middle[0, b] = column[:k].max()
+    roots = np.sqrt(middle * middle)
+    h = np.where(even, (roots[0] + roots[1]) / 2.0, roots[1])
+    out[live] = h
+    return out
+
+
 def _single_factors(columns: np.ndarray, reg: float) -> Iterator[np.ndarray]:
     """_factor's V for each row of columns (B x n), taken as a one-column block.
 
     A one-column kernel has rank of about 20 at a few hundred rows, so the
     pivoted Cholesky evaluates only its pivot columns (Bach and Jordan's
-    incomplete Cholesky), for _CHUNK blocks at a time.  The bandwidth and
-    every kernel entry have the bits of _kernel, and a block's factor has
-    the same bits whatever else shares its chunk.  Factors are yielded in
-    order and computed a chunk at a time, so a caller that consumes them as
-    they come holds one chunk, not all of them.
+    incomplete Cholesky), for _CHUNK blocks at a time.  The bandwidths come
+    from the sorted columns (_bandwidths), with no pass over all n^2 / 2
+    pairs.  The bandwidth and every kernel entry have the bits of _kernel,
+    and a block's factor has the same bits whatever else shares its chunk.
+    Factors are yielded in order and computed a chunk at a time, so a caller
+    that consumes them as they come holds one chunk, not all of them.
     """
     n = columns.shape[1]
     for start in range(0, len(columns), _CHUNK):
         chunk = columns[start:start + _CHUNK]
-        bandwidths = [_bandwidth(pdist(column[:, None], "sqeuclidean")) for column in chunk]
-        live = [b for b, h in enumerate(bandwidths) if h != 0.0]
-        scale = np.array([-2.0 * bandwidths[b] * bandwidths[b] for b in live])
+        bandwidths = _bandwidths(chunk)
+        live = bandwidths != 0.0
+        scale = -2.0 * bandwidths[live] * bandwidths[live]
         lows = iter(_pivoted_cholesky(chunk[live], scale))
         for h in bandwidths:
             yield np.zeros((n, 0)) if h == 0.0 else _push_through(next(lows), reg)
@@ -440,7 +657,8 @@ def pair_gamma(
     and the block length is clamped to a tenth of the row count (at least 2)
     so inputs down to CALIBRATION_MIN_ROWS rows still calibrate.  The capped
     pair is checked once, before the bootstrap: check_kernel_range, and no
-    constant column, whose every resample would give the statistic 0.
+    column with bandwidth 0, constant or so narrow that every squared
+    distance underflows, whose every resample would give the statistic 0.
     """
     arr = np.asarray(pair, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -449,12 +667,13 @@ def pair_gamma(
     if len(arr) < CALIBRATION_MIN_ROWS:
         raise ValueError(f"need at least {CALIBRATION_MIN_ROWS} rows to calibrate, got {len(arr)}")
     check_kernel_range(arr)
-    constant = np.flatnonzero(np.ptp(arr, axis=0) == 0.0)
-    if constant.size:
-        named = ", ".join(str(c + 1) for c in constant)
+    flat = np.flatnonzero(_bandwidths(arr.T) == 0.0)
+    if flat.size:
+        named = ", ".join(str(c + 1) for c in flat)
         raise ValueError(
-            f"calibration column(s) {named}: constant over all {len(arr)} rows, so every "
-            "bootstrap statistic would be 0 and no threshold can be calibrated"
+            f"calibration column(s) {named}: constant over all {len(arr)} rows up to float64 "
+            "underflow (every squared distance between them is 0), so every bootstrap "
+            "statistic would be 0 and no threshold can be calibrated"
         )
     block = max(2.0, min(boot.expected_block_length, arr.shape[0] / 10.0))
     if block != boot.expected_block_length:

@@ -13,6 +13,7 @@ from itertools import combinations
 import numpy as np
 from scipy import linalg as sla
 from scipy.linalg import lapack
+from scipy.spatial.distance import pdist
 
 from tspc.citests import hsic
 from tspc.graphs import Dag
@@ -164,6 +165,15 @@ def residual_partial_corr(values: np.ndarray, i: int, j: int, k) -> float:
     res_i = values[:, i] - design @ beta_i
     res_j = values[:, j] - design @ beta_j
     return float(np.corrcoef(res_i, res_j)[0, 1])
+
+
+def bandwidth_oracle(column: np.ndarray) -> float:
+    """The kernel bandwidth of one column from all n (n - 1) / 2 squared distances.
+
+    The dense path's rule (hsic._bandwidth over pdist), whose bits the
+    single-column selection from sorted values must match.
+    """
+    return hsic._bandwidth(pdist(np.asarray(column, dtype=np.float64)[:, None], "sqeuclidean"))
 
 
 def kernel_factor_oracle(arr: np.ndarray, reg: float) -> np.ndarray:

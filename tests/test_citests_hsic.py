@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from tspc.citests.hsic import centered_gram, check_kernel_range, median_bandwidt
 from tspc.pc import PcConfig, pc
 from tspc.rng import derive_seed, make_generator
 
-from .oracles import kernel_factor_oracle
+from .oracles import bandwidth_oracle, kernel_factor_oracle
 
 NO_Z = np.empty((0, 0))
 
@@ -282,23 +283,151 @@ class TestFactorBitForBit:
         assert got.tobytes() == want.tobytes()
 
 
+def underflowing(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Values of 1e-166 to 1e-158, some of them ordinary: some squares underflow, some do not.
+
+    A difference of at most about 1.57e-162 squares to 0.  The magnitudes
+    stop at a random power from 1e-164 to 1e-158, so in some columns most
+    pairs square to 0 and in others few do.
+    """
+    top = rng.uniform(-164.0, -158.0)
+    column = rng.normal(size=n) * 10.0 ** rng.uniform(-166.0, top, size=n)
+    ordinary = rng.random(n) < rng.uniform(0.0, 0.4)
+    column[ordinary] = rng.normal(size=int(ordinary.sum()))
+    return column
+
+
 @st.composite
-def one_columns(draw, sizes=(4, 5, 10, 23, 50, 400)):
-    """One column: normal draws, rounded (ties), mostly tied, constant or evenly spaced."""
+def one_columns(draw, sizes=(4, 5, 10, 23, 50, 400),
+                kinds=("normal", "rounded", "mostly tied", "constant", "spaced", "underflowing")):
+    """One column of a kind: normal draws, rounded (ties), mostly tied, constant,
+    evenly spaced, underflowing (see underflowing), Cauchy, or huge (+-1e150)."""
     n = draw(st.sampled_from(sizes))
-    kind = draw(st.sampled_from(["normal", "rounded", "mostly tied", "constant", "spaced"]))
+    kind = draw(st.sampled_from(kinds))
     rng = make_generator(draw(st.integers(0, 2**31 - 1)))
     if kind == "constant":
         return np.full(n, rng.normal())
     if kind == "spaced":
         return rng.normal() + rng.uniform(0.1, 10.0) * np.arange(n)
+    if kind == "underflowing":
+        return underflowing(rng, n)
+    if kind == "cauchy":
+        return rng.standard_cauchy(size=n)
     column = rng.normal(size=n)
+    if kind == "huge":
+        # inside check_kernel_range's bound of about 9.5e153 for one column
+        return 1e150 * column
     if kind == "rounded":
         return np.round(column)
     if kind == "mostly tied":
         # more than half of the pairs tied, so the positive-median rule sets h
         column[: int(0.78 * n)] = 0.0
     return column
+
+
+def bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestSingleColumnBandwidth:
+    """_bandwidths, selected from sorted values, against the dense rule over pdist."""
+
+    def test_square_zero_is_the_largest_double_whose_square_is_0(self):
+        tie = hsic_module._SQUARE_ZERO
+        assert tie * tie == 0.0
+        assert np.nextafter(tie, 1.0) ** 2 > 0.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(column=one_columns(sizes=(2, 3, 4, 5, 50, 400, 401), kinds=(
+        "normal", "rounded", "mostly tied", "constant", "spaced", "cauchy", "huge", "underflowing")))
+    @example(column=np.array([0.0, 1e-163]))  # one pair, tied: bandwidth 0
+    @example(column=np.array([0.0, 0.0, 0.0, 0.0, 1.0]))  # 6 of 10 pairs tied
+    @example(column=np.r_[np.zeros(300), make_generator(98).normal(size=101)])
+    def test_has_the_bits_of_the_dense_rule(self, column):
+        # 401 rows give 80,200 pairs (even) and 400 rows 79,800 (even); 2, 3,
+        # 4 and 5 rows give 1, 3, 6 and 10; 50 rows 1,225 (odd)
+        got = hsic_module._bandwidths(column[None, :])
+        assert got.shape == (1,)
+        assert bits(got[0]) == bits(bandwidth_oracle(column))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(column=one_columns(sizes=(5, 12, 50, 101), kinds=(
+        "normal", "rounded", "mostly tied", "spaced", "cauchy", "underflowing")),
+        gather=st.sampled_from([0, 1, 2]), sample=st.sampled_from([1, 2, 4]),
+        margin=st.sampled_from([0.0, 0.2, 1.0]))
+    def test_narrowing_keeps_the_bits(self, column, gather, sample, margin):
+        # at these sizes the bracket normally holds every pair; with a gather
+        # bound of at most 2 pairs per row it must narrow, round after round,
+        # through ties and through limits proposed right at the middle ranks
+        with mock.patch.object(hsic_module, "_GATHER_PER_ROW", gather), \
+                mock.patch.object(hsic_module, "_SAMPLE_PER_ROW", sample), \
+                mock.patch.object(hsic_module, "_MARGIN", margin):
+            got = hsic_module._bandwidths(column[None, :])
+        assert bits(got[0]) == bits(bandwidth_oracle(column))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(column=one_columns(sizes=(2, 7, 40), kinds=(
+        "normal", "rounded", "spaced", "cauchy", "huge", "underflowing")),
+        mixed=st.booleans(), data=st.data())
+    def test_pair_ends_count_the_true_differences(self, column, mixed, data):
+        # ends[i] counts the j with fl(s_j - s_i) <= limit, whatever the
+        # rounding of s_i + limit; mixed columns add values near 1e16, whose
+        # spacing is 2, to small ones
+        if mixed:
+            column = column.copy()
+            column[::2] = 1e16 + make_generator(len(column)).integers(-8, 8, size=column[::2].size)
+        s = np.sort(column)
+        diffs = s[None, :] - s[:, None]
+        pick = data.draw(st.sampled_from(sorted(set(np.abs(diffs).ravel().tolist()))))
+        limit = data.draw(st.sampled_from([pick, np.nextafter(pick, np.inf),
+                                           np.nextafter(pick, 0.0), pick * 0.5]))
+        padded = np.r_[s, np.inf][None, :]
+        ends = hsic_module._pair_ends(padded, np.array([limit]))
+        assert ends[0].tolist() == (diffs <= limit).sum(axis=1).tolist()
+
+    def test_one_chunk_of_columns_under_every_rule(self):
+        # each column of a 16-column chunk gets its own bandwidth, whichever
+        # rule sets it: plain median (odd and even pair counts alike), the
+        # positive median of a mostly tied column, or 0
+        rng = make_generator(99)
+        n = 400
+        chunk = rng.normal(size=(16, n))
+        chunk[0] = 2.5  # constant: 0
+        chunk[1] = 1e-170 * rng.normal(size=n)  # every square underflows: 0
+        chunk[2, :320] = 0.0  # mostly tied
+        chunk[3, :282] = 1.0  # 39,621 of 79,800 pairs tied: just under half
+        chunk[4, :283] = 1.0  # 39,903 tied: just over half
+        chunk[5] = np.round(chunk[5])
+        chunk[6] = underflowing(rng, n)
+        chunk[7] = 1e-162 * rng.normal(size=n)  # most squares underflow, some do not
+        chunk[8] = rng.standard_cauchy(size=n)
+        chunk[9] = 1e150 * chunk[9]
+        chunk[10] = np.arange(n, dtype=np.float64)
+        chunk[11, ::2] = chunk[11, 1::2]  # every value twice
+        got = hsic_module._bandwidths(chunk)
+        want = [bandwidth_oracle(column) for column in chunk]
+        assert [bits(h) for h in got] == [bits(h) for h in want]
+        assert want[0] == want[1] == 0.0 and min(want[2:]) > 0.0
+        # the same bits alone as in the chunk
+        assert [bits(hsic_module._bandwidths(column[None, :])[0]) for column in chunk] == \
+            [bits(h) for h in want]
+
+    @pytest.mark.parametrize("n", [50, 400])
+    def test_single_factors_make_no_pass_over_all_pairs(self, monkeypatch, n):
+        rng = make_generator(derive_seed(99, n))
+        columns = rng.normal(size=(20, n))
+        columns[3, : int(0.78 * n)] = 0.0
+        columns[5] = np.round(columns[5])
+        reg = hsic_module._regularizer(n)
+        want = list(hsic_module._single_factors(columns, reg))
+
+        def no_pdist(*args, **kwargs):
+            raise AssertionError("pdist called")
+
+        monkeypatch.setattr(hsic_module, "pdist", no_pdist)
+        got = list(hsic_module._single_factors(columns, reg))
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+        assert all(v.shape[1] > 0 for v in got)
 
 
 def single_factor(column: np.ndarray) -> np.ndarray:
@@ -350,7 +479,7 @@ class TestSingleColumnFactors:
         x = make_generator(derive_seed(97, n)).normal(size=(2, n))
         scales = []
         for column in x:
-            h = hsic_module._bandwidth(pdist(column[:, None], "sqeuclidean"))
+            h = bandwidth_oracle(column)
             scales.append(-2.0 * h * h)
         lows = hsic_module._pivoted_cholesky(x, np.array(scales))
         for column, low in zip(x, lows):
@@ -537,6 +666,21 @@ class TestPairGamma:
         with pytest.raises(ValueError, match=rf"calibration column\(s\) {column}: "
                                              "constant over all 100 rows"):
             pair_gamma(pair, BootstrapConfig(expected_block_length=5.0), HsicConfig(max_rows=100))
+
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_underflowing_column_named_before_the_bootstrap(self, monkeypatch, column):
+        # not constant, but every squared distance underflows to 0, so the
+        # bandwidth is 0 on every resample; at the parent this calibrated
+        # gamma = 0.0
+        rng = make_generator(derive_seed(80, 9))
+        pair = rng.normal(size=(300, 2))
+        pair[:, column - 1] = 1e-170 * rng.normal(size=300)
+        assert np.ptp(pair[:, column - 1]) > 0.0
+        monkeypatch.setattr(hsic_module, "stationary_bootstrap_threshold",
+                            lambda *args: pytest.fail("bootstrap ran"))
+        with pytest.raises(ValueError, match=rf"calibration column\(s\) {column}: "
+                                             "constant over all 300 rows up to float64 underflow"):
+            pair_gamma(pair, BootstrapConfig(expected_block_length=5.0))
 
     def test_needs_two_columns(self):
         with pytest.raises(ValueError, match="two-column"):

@@ -203,6 +203,23 @@ class TestDiscover:
         assert f"error: calibration column(s) 1: constant over all {rows} rows" in err
         assert not out.exists()
 
+    def test_underflowing_calibration_column_is_named(self, tmp_path, capsys):
+        # a column of 1e-170 noise is not constant, but every squared distance
+        # underflows; it was calibrated to gamma = 0.0 and ended in "gamma
+        # must be positive, got 0.0", which named no column
+        x = np.random.default_rng(1006).normal(size=(300, 3))
+        x[:, 0] = 1e-170 * np.random.default_rng(1007).normal(size=300)
+        src = tmp_path / "tiny.csv"
+        write_csv(DataMatrix(x), src)
+        out = tmp_path / "o"
+        rc = main(["discover", "--method", "tpcs", "--test", "hsic", "--in", str(src),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert ("error: calibration column(s) 1: constant over all 150 rows up to float64 "
+                "underflow") in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("test", ["gaussian", "hsic", "oracle"])
     @pytest.mark.parametrize("flags,nodes,message", [
         (["--method", "tpcs", "--tau", "100"], 300, "need at least tau=100 rows, got 60"),
