@@ -89,15 +89,13 @@ _SQUARE_ZERO = float.fromhex("0x1.6a09e667f3bccp-538")
 
 # A single column's bandwidth selection samples this many candidate pairs per
 # row, and lists its candidates once at most _GATHER_PER_ROW per row are left.
-# The limits a sample proposes sit _MARGIN sqrt(n) samples outside the middle
-# ranks: a row-major sample misplaces a rank by up to about sqrt(n) samples.
 _SAMPLE_PER_ROW = 4
 _GATHER_PER_ROW = 32
-_MARGIN = 1.0
 
-# _bandwidths selects for at most this many columns at once: its
-# temporaries then stay below the 640 KB buffer that pdist fills for one
-# 400-row column, and below the allocator's 128 KB mmap threshold at 50 rows.
+# _single_factors selects the bandwidths of at most this many columns at
+# once: the temporaries of _bandwidths then stay below the 640 KB buffer that
+# pdist fills for one 400-row column, and below the allocator's 128 KB mmap
+# threshold at 50 rows.
 _SELECT_COLUMNS = 8
 
 # pair_gamma's row minimum: ten bootstrap rows per block of at least 2 rows.
@@ -327,14 +325,15 @@ def _narrowed(padded: np.ndarray, lo: np.ndarray, below: np.ndarray, hi: np.ndar
 
     Each column's candidates are its pairs (i, j) with lo[b, i] <= j < hi[b, i]:
     `below` pairs come before them and `above` pairs before their end.  A
-    sample of _SAMPLE_PER_ROW candidates per row proposes two limits, a
-    margin outside the ranks lower and upper, and the exact count at each
-    limit keeps it where it still brackets them.  None when no column wider
+    sample of _SAMPLE_PER_ROW candidates per row proposes two limits, sqrt(n)
+    samples outside the ranks lower and upper (a row-major sample misplaces a
+    rank by up to about that many), and the exact count at each limit keeps
+    it where it still brackets them.  None when no column wider
     than _GATHER_PER_ROW candidates per row moved.
     """
     count, n = lo.shape
     samples = _SAMPLE_PER_ROW * n
-    margin = math.ceil(_MARGIN * math.sqrt(n))
+    margin = math.ceil(math.sqrt(n))
     size = above - below
     # sample k of a column is candidate (2k + 1) size // (2 samples) in
     # row-major order; row i holds those with k < (2 samples cum_i - size) / (2 size)
@@ -371,8 +370,8 @@ def _bandwidths(columns: np.ndarray) -> np.ndarray:
     so the order of the pair does not matter.  Rounding is monotone, so the
     k-th smallest squared distance is the square of the k-th smallest
     difference, and _median_root's rule runs on differences.  A pair is tied,
-    its squared distance 0, when d <= _SQUARE_ZERO.  The tied pairs of row i
-    are the j up to an end, and so are the pairs at or below any limit
+    its squared distance 0, when d <= _SQUARE_ZERO.  The pairs of row i at or
+    below any limit, _SQUARE_ZERO included, are the j up to an end
     (_pair_ends): differences in a sorted column form a sorted matrix, as in
     Frederickson and Johnson's selection (1984).
 
@@ -384,9 +383,6 @@ def _bandwidths(columns: np.ndarray) -> np.ndarray:
     column with no untied pair has bandwidth 0.
     """
     count, n = columns.shape
-    if count > _SELECT_COLUMNS:
-        return np.concatenate([_bandwidths(columns[start:start + _SELECT_COLUMNS])
-                               for start in range(0, count, _SELECT_COLUMNS)])
     pairs = n * (n - 1) // 2
     padded = np.empty((count, n + 1))
     padded[:, :n] = columns
@@ -394,15 +390,7 @@ def _bandwidths(columns: np.ndarray) -> np.ndarray:
     padded[:, n] = np.inf
     first = np.arange(1, n + 1)  # row i's first partner
     before = n * (n + 1) // 2  # sum(first): subtracted from a sum of ends to count pairs
-    gaps = padded[:, 1:n] - padded[:, :n - 1]
-    if ((gaps > 0.0) & (gaps <= _SQUARE_ZERO)).any():
-        tied_ends = _pair_ends(padded, np.full(count, _SQUARE_ZERO))
-    else:
-        # a difference past a nonzero gap exceeds that gap, so the pairs tied
-        # with row i are the equal values after it: they end where its run does
-        tied_ends = np.full((count, n), n)
-        tied_ends[:, :-1] = np.where(gaps != 0.0, first[:-1], n)
-        tied_ends = np.minimum.accumulate(tied_ends[:, ::-1], axis=1)[:, ::-1]
+    tied_ends = _pair_ends(padded, np.full(count, _SQUARE_ZERO))
     ties = tied_ends.sum(axis=1) - before
     out = np.zeros(count)
     live = ties < pairs
@@ -462,7 +450,8 @@ def _single_factors(columns: np.ndarray, reg: float) -> Iterator[np.ndarray]:
     n = columns.shape[1]
     for start in range(0, len(columns), _CHUNK):
         chunk = columns[start:start + _CHUNK]
-        bandwidths = _bandwidths(chunk)
+        bandwidths = np.concatenate([_bandwidths(chunk[at:at + _SELECT_COLUMNS])
+                                     for at in range(0, len(chunk), _SELECT_COLUMNS)])
         live = bandwidths != 0.0
         scale = -2.0 * bandwidths[live] * bandwidths[live]
         lows = iter(_pivoted_cholesky(chunk[live], scale))
