@@ -357,8 +357,7 @@ class TestSingleColumnBandwidth:
     def test_narrowing_keeps_the_bits(self, column, gather, sample):
         # at these sizes the bracket normally holds every pair; with a gather
         # bound of at most 2 pairs per row it must narrow, round after round,
-        # through ties and, once the bracket holds fewer candidates than
-        # samples, through limits proposed right at the middle ranks
+        # through ties and through limits proposed near the middle ranks
         with mock.patch.object(hsic_module, "_GATHER_PER_ROW", gather), \
                 mock.patch.object(hsic_module, "_SAMPLE_PER_ROW", sample):
             got = hsic_module._bandwidths(column[None, :])
