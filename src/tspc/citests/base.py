@@ -35,19 +35,15 @@ class CiQuery:
 
 @dataclass(frozen=True)
 class CiOutcome:
-    """One test decision: the statistic, the threshold it faced, the verdict.
+    """One test decision: the statistic and the threshold it faced.
 
-    Invariant: independent is true exactly when |statistic| <= threshold.
+    The verdict is derived: independent exactly when |statistic| <= threshold,
+    so a NaN statistic reads as dependent.
     """
 
     statistic: float
     threshold: float
-    independent: bool
 
-    def __post_init__(self) -> None:
-        if self.independent != (abs(self.statistic) <= self.threshold):
-            raise ValueError("outcome verdict inconsistent with statistic and threshold")
-
-    @staticmethod
-    def decide(statistic: float, threshold: float) -> "CiOutcome":
-        return CiOutcome(statistic, threshold, abs(statistic) <= threshold)
+    @property
+    def independent(self) -> bool:
+        return abs(self.statistic) <= self.threshold

@@ -190,4 +190,4 @@ def gaussian_ci_test(cov: CovMatrix, query: CiQuery, config: GaussianCiConfig) -
         threshold = config.gamma
     else:
         threshold = gaussian_gamma(config.alpha, cov.n, len(query.k))
-    return CiOutcome.decide(statistic, threshold)
+    return CiOutcome(statistic, threshold)

@@ -182,8 +182,11 @@ def _kernel(arr: np.ndarray) -> np.ndarray | None:
     h = _bandwidth(sq.copy())
     if h == 0.0:
         return None
-    # exp(-sq / (2 h^2)), in place
-    np.divide(sq, -2.0 * h * h, out=sq)
+    # exp(-sq / (2 h^2)), in place.  A bandwidth below about 1e-154 makes
+    # 2 h^2 subnormal, so an ordinary distance overflows to -inf; exp then
+    # gives the right limit, 0.
+    with np.errstate(over="ignore"):
+        np.divide(sq, -2.0 * h * h, out=sq)
     return np.exp(sq, out=sq)
 
 
@@ -459,6 +462,10 @@ def _single_factors(columns: np.ndarray, reg: float) -> Iterator[np.ndarray]:
             yield np.zeros((n, 0)) if h == 0.0 else _push_through(next(lows), reg)
 
 
+# Dividing by scale is the one step here that can overflow: a subnormal scale
+# sends an ordinary distance to -inf, whose exp is the kernel's limit 0, as in
+# _kernel.  Silenced for the whole call: per pivot it costs a few us a step.
+@np.errstate(over="ignore")
 def _pivoted_cholesky(x: np.ndarray, scale: np.ndarray) -> list[np.ndarray]:
     """Pivoted Cholesky factors K ~ L L^T (n x rank) of the kernels of the rows of x.
 
@@ -713,4 +720,4 @@ def hsic_ci_test(
         raise ValueError("hsic_ci_test needs a fixed threshold: set HsicConfig.gamma")
     values = _stack_query(x, y, z)
     stat = ColumnFactors(values, config).statistic(0, 1, tuple(range(2, values.shape[1])))
-    return CiOutcome.decide(stat, config.gamma)
+    return CiOutcome(stat, config.gamma)

@@ -288,6 +288,10 @@ def _run_simulate(args: argparse.Namespace) -> None:
 def _discover_pc_config(
     args: argparse.Namespace, data: DataMatrix, window: WindowConfig
 ) -> PcConfig:
+    # Checked once for every test, before a kernel calibration turns alpha
+    # into a bootstrap quantile.
+    if args.gamma is None and not 0.0 < args.alpha < 1.0:
+        raise CliError(f"alpha must lie in (0, 1), got {args.alpha}")
     try:
         if args.test == "gaussian":
             alpha = args.alpha if args.gamma is None else None

@@ -1,14 +1,16 @@
 """Constraint-based structure discovery on i.i.d.-style samples.
 
 The skeleton search walks conditioning-set sizes upward from zero.  At size
-l it visits ordered adjacent pairs (i, j) whose candidate pool adj(i) minus j
-holds at least l nodes, and tests i against j given every size-l subset of
-that pool in lexicographic order, deleting the edge and recording the first
-separating set found.  The search stops once no pair has a pool larger than
-the current size (or a configured cap is hit).  Orientation then marks
-colliders: for every non-adjacent pair, each common neighbour outside the
-recorded separating set becomes the tip of two arrowheads, and the remaining
-undirected edges are closed under the standard propagation rules.
+l it visits, in index order, the ordered adjacent pairs (i, j) whose
+candidate pool adj(i) minus j holds at least l nodes, and tests i against j
+given every size-l subset of that pool in lexicographic order, deleting the
+edge and recording the first separating set found; the decision log holds
+each test as its (query, outcome) pair.  The search stops once no pair has a
+pool larger than the current size (or a configured cap is hit).
+Orientation then marks colliders: for every non-adjacent pair, each common
+neighbour outside the recorded separating set becomes the tip of two
+arrowheads, and the remaining undirected edges are closed under the
+standard propagation rules.
 
 Arrowhead demands that contradict each other (both directions requested for
 one edge) cancel: the edge stays undirected and the conflict is reported as
@@ -38,7 +40,6 @@ from .data import DataMatrix
 from .graphs import Dag, Pdag, Skeleton, d_separated, meek_closure
 
 __all__ = [
-    "CiDecision",
     "CiQueryError",
     "PcConfig",
     "PcResult",
@@ -72,18 +73,6 @@ class CiQueryError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CiDecision:
-    """One logged test: the query, the numbers it produced, the verdict."""
-
-    i: int
-    j: int
-    k: tuple[int, ...]
-    statistic: float
-    threshold: float
-    independent: bool
-
-
-@dataclass(frozen=True)
 class PcConfig:
     """The conditional-independence test and the search policy.
 
@@ -94,15 +83,14 @@ class PcConfig:
 
     max_cond_size None means the default cap p - 2 (every size a pool can
     reach).  Fisher-z at level alpha further caps it at n - 4, the largest
-    size its threshold is defined for.  node_order permutes the visit order
-    of both pair enumeration and subset enumeration; identity when None.
-    stable snapshots each node's neighbourhood at the start of a level so
-    deletions within the level cannot influence later conditioning pools.
+    size its threshold is defined for.  stable snapshots each node's
+    neighbourhood at the start of a level so deletions within the level
+    cannot influence later conditioning pools; the skeleton then does not
+    depend on the order of the columns.
     """
 
     test: GaussianCiConfig | HsicConfig | Dag = GaussianCiConfig(alpha=0.05)
     max_cond_size: int | None = None
-    node_order: tuple[int, ...] | None = None
     stable: bool = False
 
     def __post_init__(self) -> None:
@@ -115,8 +103,6 @@ class PcConfig:
             raise ValueError("the kernel test needs a fixed threshold: set HsicConfig.gamma")
         if self.max_cond_size is not None and self.max_cond_size < 0:
             raise ValueError(f"max_cond_size must be nonnegative, got {self.max_cond_size}")
-        if self.node_order is not None:
-            object.__setattr__(self, "node_order", tuple(int(v) for v in self.node_order))
 
 
 @dataclass(frozen=True)
@@ -124,7 +110,7 @@ class PcResult:
     pdag: Pdag
     skeleton: Skeleton
     sepsets: SepSets
-    decisions: tuple[CiDecision, ...]
+    decisions: tuple[tuple[CiQuery, CiOutcome], ...]
     diagnostics: tuple[str, ...]
 
 
@@ -132,21 +118,18 @@ def find_skeleton(
     ci: Callable[[CiQuery], CiOutcome],
     p: int,
     config: PcConfig = PcConfig(),
-    log: list[CiDecision] | None = None,
+    log: list[tuple[CiQuery, CiOutcome]] | None = None,
 ) -> tuple[Skeleton, SepSets]:
     """Level-wise edge removal starting from the complete graph.
 
     Returns the surviving skeleton and the separating set recorded for every
     removed edge (so the table covers exactly the non-adjacent pairs).  The
     exact query sequence is a pure function of p, the configuration, and the
-    CI answers, which makes decision logs replayable.
+    CI answers, which makes decision logs replayable.  log, when given, gets
+    each query passed to ci and the outcome ci returned, as a pair.
     """
     if p < 1:
         raise ValueError(f"need at least one node, got p={p}")
-    order = config.node_order if config.node_order is not None else tuple(range(p))
-    if sorted(order) != list(range(p)):
-        raise ValueError(f"node_order must be a permutation of 0..{p - 1}")
-    pos = {v: rank for rank, v in enumerate(order)}
     max_cond = config.max_cond_size if config.max_cond_size is not None else max(p - 2, 0)
 
     adj: dict[int, set[int]] = {v: set(range(p)) - {v} for v in range(p)}
@@ -155,29 +138,25 @@ def find_skeleton(
     level = 0
     while True:
         pools = {v: frozenset(adj[v]) for v in range(p)} if config.stable else None
-        for i in order:
-            for j in order:
+        for i in range(p):
+            for j in range(p):
                 if i == j or j not in adj[i]:
                     continue
                 base = (pools[i] if pools is not None else adj[i]) - {j}
                 if len(base) < level:
                     continue
-                candidates = sorted(base, key=pos.__getitem__)
-                for k in combinations(candidates, level):
+                for k in combinations(sorted(base), level):
                     query = CiQuery(i, j, k)
                     try:
                         outcome = ci(query)
                     except CiTestError as exc:
                         raise CiQueryError(query, exc) from exc
                     if log is not None:
-                        log.append(
-                            CiDecision(i, j, tuple(k), outcome.statistic,
-                                       outcome.threshold, outcome.independent)
-                        )
+                        log.append((query, outcome))
                     if outcome.independent:
                         adj[i].discard(j)
                         adj[j].discard(i)
-                        seps[sepset_key(i, j)] = tuple(k)
+                        seps[sepset_key(i, j)] = k
                         break
         done = all(len(adj[i] - {j}) <= level for i in range(p) for j in adj[i])
         if done or level >= max_cond:
@@ -261,7 +240,7 @@ def oracle_ci(truth: Dag) -> Callable[[CiQuery], CiOutcome]:
 
     def ci(query: CiQuery) -> CiOutcome:
         independent = d_separated(truth, {query.i}, {query.j}, query.k)
-        return CiOutcome.decide(0.0 if independent else 1.0, 0.5)
+        return CiOutcome(0.0 if independent else 1.0, 0.5)
 
     return ci
 
@@ -281,7 +260,7 @@ def _make_ci(
         factors = ColumnFactors(values, test)
 
         def ci(query: CiQuery) -> CiOutcome:
-            return CiOutcome.decide(factors.statistic(query.i, query.j, query.k), test.gamma)
+            return CiOutcome(factors.statistic(query.i, query.j, query.k), test.gamma)
 
         return ci
     return oracle_ci(test)
@@ -307,7 +286,7 @@ def pc(data: DataMatrix | np.ndarray, config: PcConfig = PcConfig()) -> PcResult
         if reachable > n - 4:
             search = replace(config, max_cond_size=n - 4)
     ci = _make_ci(values, config.test)
-    log: list[CiDecision] = []
+    log: list[tuple[CiQuery, CiOutcome]] = []
     skeleton, seps = find_skeleton(ci, p, search, log)
     diagnostics: list[str] = []
     if search is not config:
@@ -326,7 +305,6 @@ def population_pc(
     truth: Dag,
     *,
     max_cond_size: int | None = None,
-    node_order: tuple[int, ...] | None = None,
     stable: bool = False,
 ) -> Pdag:
     """Run the search against exact separation facts of a known graph.
@@ -334,23 +312,18 @@ def population_pc(
     With a perfect oracle the output equals the orientation-equivalence
     summary of the truth, which is what the sample version converges to.
     """
-    config = PcConfig(
-        truth,
-        max_cond_size=max_cond_size,
-        node_order=node_order,
-        stable=stable,
-    )
+    config = PcConfig(truth, max_cond_size=max_cond_size, stable=stable)
     skeleton, seps = find_skeleton(oracle_ci(truth), truth.p, config)
     return orient(skeleton, seps)
 
 
-def decisions_to_csv(decisions: Iterable[CiDecision]) -> str:
+def decisions_to_csv(decisions: Iterable[tuple[CiQuery, CiOutcome]]) -> str:
     """Render a decision log with 1-based indices, conditioning set space-joined."""
     lines = ["i,j,k,statistic,threshold,independent"]
-    for d in decisions:
-        k = " ".join(str(c + 1) for c in d.k)
+    for query, outcome in decisions:
+        k = " ".join(str(c + 1) for c in query.k)
         lines.append(
-            f"{d.i + 1},{d.j + 1},{k},{d.statistic!r},{d.threshold!r},"
-            f"{str(d.independent).lower()}"
+            f"{query.i + 1},{query.j + 1},{k},{outcome.statistic!r},{outcome.threshold!r},"
+            f"{str(outcome.independent).lower()}"
         )
     return "\n".join(lines) + "\n"

@@ -47,12 +47,18 @@ class TestCiQuery:
 
 class TestCiOutcome:
     def test_decision_uses_absolute_value(self):
-        assert CiOutcome.decide(-0.3, 0.5).independent
-        assert not CiOutcome.decide(-0.7, 0.5).independent
+        assert CiOutcome(-0.3, 0.5).independent
+        assert not CiOutcome(-0.7, 0.5).independent
 
-    def test_inconsistent_flag_rejected(self):
-        with pytest.raises(ValueError):
-            CiOutcome(statistic=2.0, threshold=1.0, independent=True)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(statistic=st.floats(), threshold=st.floats(min_value=0.0, allow_infinity=False))
+    def test_verdict_is_the_absolute_statistic_against_the_threshold(self, statistic,
+                                                                     threshold):
+        assert CiOutcome(statistic, threshold).independent == (abs(statistic) <= threshold)
+
+    @pytest.mark.parametrize("statistic", [math.nan, math.inf, -math.inf])
+    def test_nan_and_infinite_statistics_read_dependent(self, statistic):
+        assert not CiOutcome(statistic, 1e308).independent
 
 
 class TestSampleCovariance:

@@ -501,6 +501,32 @@ class TestSingleColumnFactors:
         assert got == pytest.approx(want, rel=1e-12, abs=5e-14)
 
 
+def mostly_tiny(seed: int) -> np.ndarray:
+    # 100 values of 1e-160 noise then 20 ordinary ones: the median bandwidth
+    # is about 1e-160, so 2 h^2 is subnormal and an ordinary distance over it
+    # overflows to -inf, whose exp is the kernel's limit 0
+    rng = make_generator(derive_seed(97, seed))
+    return np.r_[1e-160 * rng.normal(size=100), rng.normal(size=20)]
+
+
+class TestSubnormalBandwidth:
+    def test_single_column_path_is_silent(self):
+        y = make_generator(derive_seed(98, 0)).normal(size=120)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stat = hsic_conditional(mostly_tiny(0), y, None)
+        assert np.isfinite(stat) and stat >= 0.0
+
+    def test_dense_block_path_is_silent(self):
+        # a two-column z is a dense _kernel block, and so are (x, z), (y, z)
+        rng = make_generator(derive_seed(98, 1))
+        z = np.column_stack([mostly_tiny(1), mostly_tiny(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stat = hsic_conditional(rng.normal(size=120), rng.normal(size=120), z)
+        assert np.isfinite(stat) and stat >= 0.0
+
+
 class TestCiTest:
     def test_exactly_one_calibration_mode(self):
         # a fixed gamma is the only threshold policy, so it must be set
@@ -609,11 +635,12 @@ class TestCiTest:
         x = make_generator(derive_seed(83, 0)).normal(size=(300, 5))
         cfg = HsicConfig(gamma=1e-6, max_rows=max_rows)
         decisions = pc(x, PcConfig(cfg)).decisions
-        assert max(len(d.k) for d in decisions) == 3
-        for d in decisions:
-            z = x[:, list(d.k)] if d.k else None
-            single = hsic_ci_test(x[:, d.i], x[:, d.j], z, cfg)
-            assert (single.statistic, single.independent) == (d.statistic, d.independent)
+        assert max(len(q.k) for q, _ in decisions) == 3
+        for query, outcome in decisions:
+            z = x[:, list(query.k)] if query.k else None
+            single = hsic_ci_test(x[:, query.i], x[:, query.j], z, cfg)
+            assert (single.statistic, single.independent) == (outcome.statistic,
+                                                              outcome.independent)
 
 
 class TestPairGamma:

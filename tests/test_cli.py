@@ -220,6 +220,40 @@ class TestDiscover:
                 "underflow") in err
         assert not out.exists()
 
+    def test_subnormal_kernel_bandwidth_runs_without_warnings(self, tmp_path, capsys):
+        # a column of 100 values of 1e-160 noise then 20 ordinary ones has a
+        # bandwidth whose 2 h^2 is subnormal; its ordinary distances used to
+        # print "overflow encountered in divide" on the way to kernel value 0
+        rng = np.random.default_rng(1010)
+        x = rng.normal(size=(120, 3))
+        x[:, 1] = np.r_[1e-160 * rng.normal(size=100), rng.normal(size=20)]
+        src = tmp_path / "tiny.csv"
+        write_csv(DataMatrix(x), src)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["discover", "--method", "pc", "--test", "hsic", "--in", str(src),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("test", ["gaussian", "hsic"])
+    @pytest.mark.parametrize("alpha", ["0", "1", "1.5"])
+    def test_alpha_outside_unit_interval_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, test, alpha
+    ):
+        # one check for every test, before a kernel calibration turns alpha
+        # into a bootstrap quantile (1.5 used to be named as quantile -0.5,
+        # and 0 and 1 calibrated on the largest or smallest replicate)
+        monkeypatch.setattr(cli, "decoupled_pair_gamma",
+                            lambda *args: pytest.fail("calibration ran"))
+        src = chain_csv(tmp_path / "chain.csv", n=200)
+        out = tmp_path / "o"
+        rc = main(["discover", "--method", "pc", "--test", test, "--alpha", alpha,
+                   "--in", str(src), "--out", str(out)])
+        assert rc == 2
+        assert f"error: alpha must lie in (0, 1), got {float(alpha)}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("test", ["gaussian", "hsic", "oracle"])
     @pytest.mark.parametrize("flags,nodes,message", [
         (["--method", "tpcs", "--tau", "100"], 300, "need at least tau=100 rows, got 60"),

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from tspc.citests import CiOutcome, CiQuery, CiTestError, GaussianCiConfig, HsicConfig
 from tspc.graphs import Dag, Pdag, Skeleton, cpdag_of, d_separated, roll
 from tspc.pc import (
-    CiDecision,
     CiQueryError,
     PcConfig,
     decisions_to_csv,
@@ -74,7 +73,7 @@ class TestFindSkeleton:
         def broken(query: CiQuery) -> CiOutcome:
             if query.k:
                 raise CiTestError("synthetic failure")
-            return CiOutcome.decide(1.0, 0.5)
+            return CiOutcome(1.0, 0.5)
 
         with pytest.raises(CiQueryError) as err:
             find_skeleton(broken, 3)
@@ -82,36 +81,64 @@ class TestFindSkeleton:
         assert "synthetic failure" in str(err.value)
 
     def test_decision_log_levels_are_monotone(self):
-        log: list[CiDecision] = []
+        log: list[tuple[CiQuery, CiOutcome]] = []
         find_skeleton(oracle_ci(MOTIF), 4, PcConfig(), log)
-        sizes = [len(d.k) for d in log]
+        sizes = [len(q.k) for q, _ in log]
         assert sizes == sorted(sizes)
         assert max(sizes) <= 2  # p - 2
 
     def test_replay_reproduces_the_exact_query_sequence(self):
         # the query stream is a pure function of the answers, so feeding the
         # recorded answers back must reproduce the run decision for decision
-        log: list[CiDecision] = []
+        log: list[tuple[CiQuery, CiOutcome]] = []
         skeleton, seps = find_skeleton(oracle_ci(MOTIF), 4, PcConfig(), log)
 
-        answers = {(d.i, d.j, d.k): d.independent for d in log}
-        replay_log: list[CiDecision] = []
+        answers = dict(log)
+        replay_log: list[tuple[CiQuery, CiOutcome]] = []
 
         def replayed(query: CiQuery) -> CiOutcome:
-            independent = answers[(query.i, query.j, query.k)]
-            return CiOutcome.decide(0.0 if independent else 1.0, 0.5)
+            return answers[query]
 
         skeleton2, seps2 = find_skeleton(replayed, 4, PcConfig(), replay_log)
         assert skeleton2 == skeleton
         assert seps2 == seps
-        assert [(d.i, d.j, d.k, d.independent) for d in replay_log] == [
-            (d.i, d.j, d.k, d.independent) for d in log
-        ]
+        assert replay_log == log
 
-    def test_node_order_changes_visit_order_not_oracle_result(self):
-        base = population_pc(MOTIF)
-        permuted = population_pc(MOTIF, node_order=(3, 1, 0, 2))
-        assert permuted == base
+    @pytest.mark.parametrize("stable", [False, True])
+    def test_log_holds_the_very_query_and_outcome(self, stable):
+        # one record per test: the log entry is the query object ci received
+        # and the outcome object it returned, not a copy of either
+        seen: list[tuple[CiQuery, CiOutcome]] = []
+        answer = oracle_ci(MOTIF)
+
+        def ci(query: CiQuery) -> CiOutcome:
+            seen.append((query, answer(query)))
+            return seen[-1][1]
+
+        log: list[tuple[CiQuery, CiOutcome]] = []
+        find_skeleton(ci, 4, PcConfig(stable=stable), log)
+        assert len(log) == len(seen) > 0
+        for (query, outcome), (asked, answered) in zip(log, seen):
+            assert query is asked
+            assert outcome is answered
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10**6), stable=st.booleans())
+    def test_oracle_result_ignores_node_labels(self, seed, stable):
+        # with exact separation facts the search finds the same graph under
+        # any relabelling of the nodes, whatever order it visits them in
+        rng = make_generator(derive_seed(9310, seed))
+        g = random_dag(rng, int(rng.integers(3, 7)), edge_prob=0.4)
+        perm = [int(v) for v in rng.permutation(g.p)]  # old label -> new label
+        back = {new: old for old, new in enumerate(perm)}
+        relabelled = Dag(g.p, frozenset((perm[u], perm[v]) for u, v in g.edges))
+        found = population_pc(relabelled, stable=stable)
+        mapped = Pdag(
+            g.p,
+            frozenset((back[u], back[v]) for u, v in found.directed),
+            frozenset((back[u], back[v]) for u, v in found.undirected),
+        )
+        assert mapped == population_pc(g, stable=stable)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10**6))
@@ -258,7 +285,9 @@ class TestSamplePc:
         rng = make_generator(90)
         result = pc(rng.normal(size=(200, 3)), PcConfig(GaussianCiConfig(alpha=0.05)))
         assert len(result.decisions) >= 3
-        assert all(isinstance(d, CiDecision) for d in result.decisions)
+        for query, outcome in result.decisions:
+            assert isinstance(query, CiQuery)
+            assert isinstance(outcome, CiOutcome)
 
     @pytest.mark.parametrize("n,p", [(8, 7), (6, 8)])
     def test_short_sample_caps_conditioning_size(self, n, p):
@@ -266,7 +295,7 @@ class TestSamplePc:
         # and the search would reach sets of size p - 2 > n - 4
         result = pc(make_generator(derive_seed(92, n)).normal(size=(n, p)),
                     PcConfig(GaussianCiConfig(alpha=0.6)))
-        assert max(len(d.k) for d in result.decisions) == n - 4
+        assert max(len(q.k) for q, _ in result.decisions) == n - 4
         assert any("capped at size" in line for line in result.diagnostics)
 
     def test_fewer_than_four_rows_named(self):
@@ -288,23 +317,25 @@ class TestSamplePc:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10**6))
-    def test_stable_skeleton_ignores_node_order(self, seed):
+    def test_stable_skeleton_ignores_column_order(self, seed):
         # PC-stable fixes every pool at the start of a level, so the sample
-        # skeleton cannot depend on the visit order; without stable it can
+        # skeleton cannot depend on the visit order, and so not on the order
+        # of the columns either; without stable it can
         rng = make_generator(derive_seed(9700, seed))
         p = int(rng.integers(4, 8))
         cov = sem_covariance(random_dag(rng, p, 0.4), rng)
         values = rng.normal(size=(100, p)) @ np.linalg.cholesky(cov).T
-        order = tuple(int(v) for v in rng.permutation(p))
+        order = [int(v) for v in rng.permutation(p)]  # new column c is old column order[c]
         base = pc(values, PcConfig(stable=True)).skeleton
-        assert pc(values, PcConfig(node_order=order, stable=True)).skeleton == base
+        permuted = pc(values[:, order], PcConfig(stable=True)).skeleton
+        assert Skeleton(p, frozenset((order[a], order[b]) for a, b in permuted.edges)) == base
 
 
 class TestDecisionCsv:
     def test_format(self):
         rows = [
-            CiDecision(i=0, j=2, k=(1,), statistic=0.25, threshold=0.5, independent=True),
-            CiDecision(i=1, j=3, k=(), statistic=1.0, threshold=0.5, independent=False),
+            (CiQuery(0, 2, (1,)), CiOutcome(0.25, 0.5)),
+            (CiQuery(1, 3), CiOutcome(1.0, 0.5)),
         ]
         text = decisions_to_csv(rows)
         lines = text.strip().split("\n")
