@@ -11,7 +11,7 @@ class CiTestError(ValueError):
     """Numerical failure inside a conditional-independence test."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CiQuery:
     """Ask whether variable i and variable j are independent given set k.
 
@@ -33,7 +33,7 @@ class CiQuery:
             raise ValueError("conditioning set contains duplicates")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CiOutcome:
     """One test decision: the statistic and the threshold it faced.
 

@@ -1,9 +1,11 @@
 """Graph values and operations for constraint-based structure discovery.
 
 Nodes are integers ``0..p-1``. Three graph flavours cover the pipeline:
-directed acyclic graphs (data-generating models and class members),
+directed acyclic graphs (data-generating models and population oracles),
 partially directed graphs (skeleton-plus-orientation estimates), and
 rolled graphs over time-series variables, where self-loops are legal.
+``meek_closure`` is the one orientation-propagation step; the CPDAG of a
+separating-set table is built by ``pc.orient`` on top of it.
 
 All values are immutable; every operation is a pure function.
 I/O emitters print 1-based labels, in-memory indices stay 0-based.
@@ -24,8 +26,6 @@ __all__ = [
     "is_acyclic",
     "ancestors",
     "d_separated",
-    "v_structures",
-    "cpdag_of",
     "meek_closure",
     "unrolled_var",
     "unrolled_time",
@@ -76,10 +76,6 @@ class Dag:
                 raise ValueError(f"antiparallel pair between {u} and {v}")
         if not is_acyclic(self.p, self.edges):
             raise ValueError("edge set contains a directed cycle")
-
-    def parents(self, v: int) -> set[int]:
-        _check_node(self.p, v)
-        return {u for (u, w) in self.edges if w == v}
 
     def skeleton(self) -> "Skeleton":
         return Skeleton(self.p, frozenset(_normalize_pair(u, v) for u, v in self.edges))
@@ -272,31 +268,16 @@ def d_separated(
     return True
 
 
-def v_structures(g: Dag) -> frozenset:
-    """Colliders with non-adjacent spokes, as triples ``(i, c, j)`` with ``i < j``."""
-    skel = g.skeleton()
-    out = set()
-    for c in range(g.p):
-        for i, j in combinations(sorted(g.parents(c)), 2):
-            if not skel.has_edge(i, j):
-                out.add((i, c, j))
-    return frozenset(out)
-
-
-def _closure(skeleton: Skeleton, seed_directed: set[Edge]) -> Pdag:
+def meek_closure(g: Pdag) -> Pdag:
     """Apply the four orientation-propagation rules until none fires.
 
-    ``seed_directed`` must contain at most one orientation per pair; rules
-    only ever orient still-undirected edges, so existing arrows are never
-    overwritten.
+    Rules only orient still-undirected edges, so the arrows of ``g`` stay.
+    Closing the v-structure arrows of a DAG yields its CPDAG (Meek, UAI 1995).
     """
-    p = skeleton.p
-    directed: set[Edge] = set(seed_directed)
-    undirected: set[Edge] = {
-        e for e in skeleton.edges
-        if e not in directed and (e[1], e[0]) not in directed
-    }
-    adjacent = skeleton.neighbours()
+    p = g.p
+    directed: set[Edge] = set(g.directed)
+    undirected: set[Edge] = set(g.undirected)
+    adjacent = g.skeleton().neighbours()
     parents: dict[int, set[int]] = {v: set() for v in range(p)}
     children: dict[int, set[int]] = {v: set() for v in range(p)}
     for u, v in directed:
@@ -341,26 +322,6 @@ def _closure(skeleton: Skeleton, seed_directed: set[Edge]) -> Pdag:
                 orient(v, u)
                 changed = True
     return Pdag(p, frozenset(directed), frozenset(undirected))
-
-
-def meek_closure(g: Pdag) -> Pdag:
-    """Repeatedly apply the orientation-propagation rules to a partially directed graph."""
-    return _closure(g.skeleton(), set(g.directed))
-
-
-def cpdag_of(g: Dag) -> Pdag:
-    """Completed partially directed graph of ``g``'s Markov equivalence class.
-
-    Keeps the skeleton, pins each v-structure's arrows, and closes under
-    the orientation-propagation rules. A directed edge in the result is
-    oriented the same way in every member of the class; an undirected edge
-    differs between members.
-    """
-    seed: set[Edge] = set()
-    for i, c, j in v_structures(g):
-        seed.add((i, c))
-        seed.add((j, c))
-    return _closure(g.skeleton(), seed)
 
 
 # Window node p*t + v is variable v at window offset t.

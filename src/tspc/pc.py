@@ -7,10 +7,10 @@ given every size-l subset of that pool in lexicographic order, deleting the
 edge and recording the first separating set found; the decision log holds
 each test as its (query, outcome) pair.  The search stops once no pair has a
 pool larger than the current size (or a configured cap is hit).
-Orientation then marks colliders: for every non-adjacent pair, each common
-neighbour outside the recorded separating set becomes the tip of two
-arrowheads, and the remaining undirected edges are closed under the
-standard propagation rules.
+Orientation reads the separating-set table (one entry per non-adjacent
+pair): each common neighbour outside an entry's set becomes the tip of two
+arrowheads, and ``graphs.meek_closure`` closes the rest.  On exact CI
+answers (a ``Dag`` as the test) the result is the CPDAG of that graph.
 
 Arrowhead demands that contradict each other (both directions requested for
 one edge) cancel: the edge stays undirected and the conflict is reported as
@@ -49,7 +49,6 @@ __all__ = [
     "oracle_ci",
     "orient",
     "pc",
-    "population_pc",
     "sepset_key",
 ]
 
@@ -200,21 +199,21 @@ def orient(
             )
         norm[pair] = members
 
+    # Every key is a distinct non-adjacent pair, so a count shows coverage.
+    if len(norm) < p * (p - 1) // 2 - len(skeleton.edges):
+        i, j = next(
+            pair for pair in combinations(range(p), 2)
+            if pair not in norm and not skeleton.has_edge(*pair)
+        )
+        raise ValueError(f"separating-set table missing non-adjacent pair ({i + 1}, {j + 1})")
+
     adjacent = skeleton.neighbours()
     demands: set[tuple[int, int]] = set()
-    for i in range(p):
-        for j in range(i + 1, p):
-            if skeleton.has_edge(i, j):
-                continue
-            if (i, j) not in norm:
-                raise ValueError(
-                    f"separating-set table missing non-adjacent pair ({i + 1}, {j + 1})"
-                )
-            sep = norm[(i, j)]
-            for c in sorted(adjacent[i] & adjacent[j]):
-                if c not in sep:
-                    demands.add((i, c))
-                    demands.add((j, c))
+    for (i, j), sep in norm.items():
+        for c in adjacent[i] & adjacent[j]:
+            if c not in sep:
+                demands.add((i, c))
+                demands.add((j, c))
 
     conflicted: set[tuple[int, int]] = set()
     for a, b in demands:
@@ -299,22 +298,6 @@ def pc(data: DataMatrix | np.ndarray, config: PcConfig = PcConfig()) -> PcResult
             )
     pdag = orient(skeleton, seps, diagnostics)
     return PcResult(pdag, skeleton, seps, tuple(log), tuple(diagnostics))
-
-
-def population_pc(
-    truth: Dag,
-    *,
-    max_cond_size: int | None = None,
-    stable: bool = False,
-) -> Pdag:
-    """Run the search against exact separation facts of a known graph.
-
-    With a perfect oracle the output equals the orientation-equivalence
-    summary of the truth, which is what the sample version converges to.
-    """
-    config = PcConfig(truth, max_cond_size=max_cond_size, stable=stable)
-    skeleton, seps = find_skeleton(oracle_ci(truth), truth.p, config)
-    return orient(skeleton, seps)
 
 
 def decisions_to_csv(decisions: Iterable[tuple[CiQuery, CiOutcome]]) -> str:

@@ -16,7 +16,8 @@ from scipy.linalg import lapack
 from scipy.spatial.distance import pdist
 
 from tspc.citests import hsic
-from tspc.graphs import Dag
+from tspc.graphs import Dag, Pdag
+from tspc.pc import PcConfig, find_skeleton, oracle_ci, orient
 
 
 def ancestors_oracle(g: Dag, nodes) -> set[int]:
@@ -118,6 +119,15 @@ def consensus_cpdag_oracle(g: Dag) -> tuple[frozenset, frozenset]:
         else:
             directed.add((v, u))
     return frozenset(directed), frozenset(undirected)
+
+
+def population_pc(g: Dag, stable: bool = False) -> Pdag:
+    """The package's search and orient on g's exact separation facts.
+
+    It must return g's CPDAG; criterion 1 checks it against the class vote.
+    """
+    skeleton, seps = find_skeleton(oracle_ci(g), g.p, PcConfig(g, stable=stable))
+    return orient(skeleton, seps)
 
 
 def rolled_edges_of_member(edges, p: int) -> frozenset:

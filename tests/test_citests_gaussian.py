@@ -61,6 +61,12 @@ class TestCiOutcome:
         assert not CiOutcome(statistic, 1e308).independent
 
 
+@pytest.mark.parametrize("record", [CiQuery(0, 2, (1,)), CiOutcome(0.25, 0.5)])
+def test_decision_log_records_have_no_instance_dict(record):
+    # a search keeps one query and one outcome per test alive in its log
+    assert not hasattr(record, "__dict__")
+
+
 class TestSampleCovariance:
     def test_identical_columns(self):
         v = np.array([[1.0, 1.0], [4.0, 4.0], [2.0, 2.0]])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import warnings
 from unittest import mock
 
@@ -42,6 +43,8 @@ def resample_statistics(resamples: np.ndarray) -> np.ndarray:
     return np.array([hsic_conditional(v[:, 0], v[:, 1], None) for v in resamples])
 
 
+# Cached: the null-coverage and sine-dependence tests share their 200 gammas.
+@functools.lru_cache(maxsize=None)
 def null_calibrated_gamma(n: int, cal_seed: int, boot_seed: int,
                           num_replicates: int = 50, block: float = 15.0) -> float:
     """Bootstrap quantile of the statistic on an independent reference pair.

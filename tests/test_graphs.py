@@ -15,7 +15,6 @@ from tspc.graphs import (
     RolledGraph,
     Skeleton,
     ancestors,
-    cpdag_of,
     d_separated,
     graph_from_json,
     is_acyclic,
@@ -25,7 +24,6 @@ from tspc.graphs import (
     to_json,
     unrolled_time,
     unrolled_var,
-    v_structures,
 )
 
 from .oracles import (
@@ -119,21 +117,16 @@ class TestDSeparation:
 
 
 class TestVStructures:
+    # Fixed cases of the oracle that defines the equivalence class.
     def test_motif(self):
-        assert v_structures(MOTIF) == frozenset({(0, 2, 1)})
+        assert v_structures_oracle(MOTIF) == frozenset({(0, 2, 1)})
 
     def test_chain_has_none(self):
-        assert v_structures(CHAIN3) == frozenset()
+        assert v_structures_oracle(CHAIN3) == frozenset()
 
     def test_shielded_collider_excluded(self):
         g = Dag(3, frozenset({(0, 2), (1, 2), (0, 1)}))
-        assert v_structures(g) == frozenset()
-
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 10**6))
-    def test_matches_triple_enumeration(self, seed):
-        g = small_dags(seed)
-        assert v_structures(g) == v_structures_oracle(g)
+        assert v_structures_oracle(g) == frozenset()
 
 
 class TestEquivalenceClass:
@@ -151,30 +144,35 @@ class TestEquivalenceClass:
 
 
 class TestCpdag:
+    # The class vote is the expected CPDAG of every test; these pin it.
     def test_motif_fully_oriented(self):
-        c = cpdag_of(MOTIF)
-        assert c.directed == frozenset({(0, 2), (1, 2), (2, 3)})
-        assert c.undirected == frozenset()
+        directed, undirected = consensus_cpdag_oracle(MOTIF)
+        assert directed == frozenset({(0, 2), (1, 2), (2, 3)})
+        assert undirected == frozenset()
 
     def test_single_edge_reversible(self):
-        c = cpdag_of(Dag(2, frozenset({(0, 1)})))
-        assert c.directed == frozenset()
-        assert c.undirected == frozenset({(0, 1)})
+        directed, undirected = consensus_cpdag_oracle(Dag(2, frozenset({(0, 1)})))
+        assert directed == frozenset()
+        assert undirected == frozenset({(0, 1)})
 
     def test_chain_undirected(self):
-        c = cpdag_of(CHAIN3)
-        assert c.directed == frozenset()
-        assert c.undirected == frozenset({(0, 1), (1, 2)})
+        directed, undirected = consensus_cpdag_oracle(CHAIN3)
+        assert directed == frozenset()
+        assert undirected == frozenset({(0, 1), (1, 2)})
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10**6))
     def test_matches_class_consensus(self, seed):
+        # closing the v-structure arrows under the propagation rules gives
+        # the CPDAG (Meek 1995), with no separating sets involved
         rng = np.random.default_rng(seed)
         g = random_dag(rng, int(rng.integers(2, 6)), edge_prob=0.4, max_edges=8)
-        c = cpdag_of(g)
-        directed, undirected = consensus_cpdag_oracle(g)
-        assert c.directed == directed
-        assert c.undirected == undirected
+        arrows = set()
+        for i, c, j in v_structures_oracle(g):
+            arrows |= {(i, c), (j, c)}
+        undirected = g.skeleton().edges - {(min(e), max(e)) for e in arrows}
+        pattern = Pdag(g.p, frozenset(arrows), undirected)
+        assert meek_closure(pattern) == Pdag(g.p, *consensus_cpdag_oracle(g))
 
     def test_meek_closure_idempotent(self):
         g = Pdag(4, directed=frozenset({(0, 2), (1, 2)}), undirected=frozenset({(2, 3)}))
@@ -228,7 +226,7 @@ class TestRoll:
         rng = np.random.default_rng(seed)
         p = int(rng.integers(2, 5))
         g = random_dag(rng, 2 * p, edge_prob=0.3, max_edges=8)
-        rolled = roll(cpdag_of(g), p, 2).edges
+        rolled = roll(Pdag(g.p, *consensus_cpdag_oracle(g)), p, 2).edges
         union = frozenset()
         for member in equivalence_class_oracle(g):
             union |= rolled_edges_of_member(member, p)
@@ -240,7 +238,8 @@ class TestRoll:
         # adding an input edge can only add rolled edges
         rng = np.random.default_rng(seed)
         p = int(rng.integers(2, 5))
-        g = cpdag_of(random_dag(rng, 2 * p, edge_prob=0.25, max_edges=8))
+        truth = random_dag(rng, 2 * p, edge_prob=0.25, max_edges=8)
+        g = Pdag(truth.p, *consensus_cpdag_oracle(truth))
         before = roll(g, p, 2).edges
         taken = {frozenset(e) for e in g.directed} | {frozenset(e) for e in g.undirected}
         candidates = [

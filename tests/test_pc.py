@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tspc.citests import CiOutcome, CiQuery, CiTestError, GaussianCiConfig, HsicConfig
-from tspc.graphs import Dag, Pdag, Skeleton, cpdag_of, d_separated, roll
+from tspc.graphs import Dag, Pdag, Skeleton, d_separated, roll
 from tspc.pc import (
     CiQueryError,
     PcConfig,
@@ -19,13 +19,12 @@ from tspc.pc import (
     oracle_ci,
     orient,
     pc,
-    population_pc,
     sepset_key,
 )
 from tspc.rng import derive_seed, make_generator
 from tspc.simulate import SimConfig, generate
 
-from .oracles import random_dag, sem_covariance
+from .oracles import consensus_cpdag_oracle, population_pc, random_dag, sem_covariance
 
 MOTIF = Dag(4, frozenset({(0, 2), (1, 2), (2, 3)}))
 
@@ -203,6 +202,21 @@ class TestOrient:
         with pytest.raises(ValueError, match="adjacent"):
             orient(skel, {(0, 1): ()})
 
+    def test_first_missing_pair_named(self):
+        # (0, 3), (1, 2) and (1, 3) are missing; the error names the first, 1-based
+        skel = Skeleton(4, frozenset({(0, 1)}))
+        with pytest.raises(ValueError, match=r"missing non-adjacent pair \(1, 4\)"):
+            orient(skel, {(3, 2): (), (2, 0): ()})
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10**6))
+    def test_table_read_whatever_its_key_order_and_set_type(self, seed):
+        rng = make_generator(derive_seed(9450, seed))
+        g = random_dag(rng, int(rng.integers(3, 8)), edge_prob=0.4)
+        skeleton, seps = find_skeleton(oracle_ci(g), g.p, PcConfig(g))
+        reversed_table = {(j, i): list(reversed(s)) for (i, j), s in seps.items()}
+        assert orient(skeleton, reversed_table) == orient(skeleton, seps)
+
 
 class TestPopulationPc:
     def test_motif_fully_oriented(self):
@@ -222,7 +236,7 @@ class TestPopulationPc:
     def test_equals_equivalence_summary(self, seed):
         rng = make_generator(derive_seed(9400, seed))
         g = random_dag(rng, int(rng.integers(2, 7)), edge_prob=0.4)
-        assert population_pc(g) == cpdag_of(g)
+        assert population_pc(g) == Pdag(g.p, *consensus_cpdag_oracle(g))
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10**6))
@@ -262,7 +276,7 @@ class TestSamplePc:
     def test_chain_error_rate_decays_with_n(self):
         # fixed threshold below the smallest population statistic: the
         # probability of any wrong decision falls as the sample grows
-        chain_target = cpdag_of(Dag(3, frozenset({(0, 1), (1, 2)})))
+        chain_target = Pdag(3, *consensus_cpdag_oracle(Dag(3, frozenset({(0, 1), (1, 2)}))))
         gamma = 0.8 * 0.5 * math.log(3.0)  # 0.8 * atanh(0.5)
         rates = []
         for n in (100, 400, 1600):

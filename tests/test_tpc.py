@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from tspc.citests import GaussianCiConfig, HsicConfig
 from tspc.data import DataMatrix
 from tspc.evaluate import confusion, metrics
-from tspc.graphs import Pdag, RolledGraph, cpdag_of, roll, unrolled_time
+from tspc.graphs import Pdag, RolledGraph, roll, unrolled_time
 from tspc.pc import CiQueryError, PcConfig, pc
 from tspc.rng import derive_seed, make_generator
 from tspc.simulate import SimConfig, generate, ground_truth
@@ -25,7 +25,7 @@ from tspc.tpc import (
     unroll,
 )
 
-from .oracles import random_dag
+from .oracles import consensus_cpdag_oracle, random_dag
 
 GAUSSIAN = PcConfig(GaussianCiConfig(alpha=0.05))
 
@@ -158,7 +158,7 @@ class TestTpc:
             WindowConfig(tau=tau, r=2),
             PcConfig(truth),
         )
-        assert res.rolled == roll(cpdag_of(truth), p, tau)
+        assert res.rolled == roll(Pdag(truth.p, *consensus_cpdag_oracle(truth)), p, tau)
 
     def test_constant_column_surfaces_ci_error(self):
         vals = np.column_stack([np.full(40, 2.0), np.linspace(0.0, 1.0, 40)])
