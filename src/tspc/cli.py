@@ -6,7 +6,8 @@ runs a structure search on a CSV and emits graphs plus a decision log,
 ``reproduce`` runs benchmark sweeps to metrics tables.
 
 Every command accepts ``--config FILE`` holding ``key=value`` lines (keys are
-the long flag names); unknown keys are rejected.  Precedence is built-in
+the long flag names); unknown keys are rejected, as is ``none`` or an empty
+value for a flag whose default is not None.  Precedence is built-in
 defaults, then profile, then config file, then explicit flags.  Each run
 persists its effective configuration as ``config.txt`` in the output
 directory, which can be fed back through ``--config`` to replay the run.
@@ -168,23 +169,23 @@ def _parse_config_file(path: str, command_parser: argparse.ArgumentParser) -> di
         if dest in ("help", "config", "command") or dest not in actions:
             raise CliError(f"{file}: line {lineno}: unknown config key {key.strip()!r}")
         action = actions[dest]
+        bad_value = CliError(f"{file}: line {lineno}: bad value {value!r} for {key.strip()!r}")
         if isinstance(action, argparse.BooleanOptionalAction) or (
             action.nargs == 0 and action.const is not None
         ):
             if value.lower() not in _BOOLEAN_WORDS:
-                raise CliError(
-                    f"{file}: line {lineno}: bad value {value!r} for {key.strip()!r}"
-                )
+                raise bad_value
             overrides[dest] = _BOOLEAN_WORDS[value.lower()]
         elif value == "" or value.lower() == "none":
+            if action.default is not None:
+                raise bad_value
             overrides[dest] = None
+            continue
         elif action.type is not None:
             try:
                 overrides[dest] = action.type(value)
             except ValueError:
-                raise CliError(
-                    f"{file}: line {lineno}: bad value {value!r} for {key.strip()!r}"
-                ) from None
+                raise bad_value from None
         else:
             overrides[dest] = value
         if action.choices is not None and overrides[dest] not in action.choices:
@@ -221,7 +222,7 @@ def _load_rolled(path: str) -> RolledGraph:
         raise CliError(f"graph file not found: {file}")
     try:
         g = graph_from_json(file.read_text())
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise CliError(f"{file}: {exc}") from exc
     if isinstance(g, RolledGraph):
         return g

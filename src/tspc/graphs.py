@@ -2,10 +2,11 @@
 
 Nodes are integers ``0..p-1``. Three graph flavours cover the pipeline:
 directed acyclic graphs (data-generating models and population oracles),
-partially directed graphs (skeleton-plus-orientation estimates), and
-rolled graphs over time-series variables, where self-loops are legal.
-``meek_closure`` is the one orientation-propagation step; the CPDAG of a
-separating-set table is built by ``pc.orient`` on top of it.
+partially directed graphs (the search's arrowless skeleton and its
+oriented estimates), and rolled graphs over time-series variables, where
+self-loops are legal. ``meek_closure`` (Meek's rules 1-3) is the one
+orientation-propagation step; the CPDAG of a separating-set table is
+built by ``pc.orient`` on top of it.
 
 All values are immutable; every operation is a pure function.
 I/O emitters print 1-based labels, in-memory indices stay 0-based.
@@ -20,7 +21,6 @@ from typing import Iterable
 
 __all__ = [
     "Dag",
-    "Skeleton",
     "Pdag",
     "RolledGraph",
     "is_acyclic",
@@ -77,47 +77,13 @@ class Dag:
         if not is_acyclic(self.p, self.edges):
             raise ValueError("edge set contains a directed cycle")
 
-    def skeleton(self) -> "Skeleton":
-        return Skeleton(self.p, frozenset(_normalize_pair(u, v) for u, v in self.edges))
-
-
-@dataclass(frozen=True)
-class Skeleton:
-    """Undirected graph on ``p`` nodes; edges stored as ordered pairs (u, v) with u < v."""
-
-    p: int
-    edges: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
-        normalized = set()
-        for u, v in self.edges:
-            _check_node(self.p, u)
-            _check_node(self.p, v)
-            if u == v:
-                raise ValueError(f"self-loop at {u} not allowed in a skeleton")
-            normalized.add(_normalize_pair(u, v))
-        object.__setattr__(self, "edges", frozenset(normalized))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return _normalize_pair(u, v) in self.edges
-
-    def neighbours(self) -> dict[int, set[int]]:
-        """Every node's adjacent nodes, from one pass over the edges."""
-        out: dict[int, set[int]] = {v: set() for v in range(self.p)}
-        for u, v in self.edges:
-            out[u].add(v)
-            out[v].add(u)
-        return out
-
 
 @dataclass(frozen=True)
 class Pdag:
     """Partially directed graph: disjoint directed and undirected edge sets.
 
     At most one edge per node pair; undirected edges are stored with
-    ``u < v``; self-loops are not allowed.
+    ``u < v``; self-loops are not allowed.  An arrowless one is a skeleton.
     """
 
     p: int
@@ -148,9 +114,13 @@ class Pdag:
             if (u, v) in seen:
                 raise ValueError(f"pair ({u}, {v}) is both directed and undirected")
 
-    def skeleton(self) -> Skeleton:
-        pairs = {_normalize_pair(u, v) for u, v in self.directed} | set(self.undirected)
-        return Skeleton(self.p, frozenset(pairs))
+    def neighbours(self) -> dict[int, set[int]]:
+        """Every node's adjacent nodes, over directed and undirected edges alike."""
+        out: dict[int, set[int]] = {v: set() for v in range(self.p)}
+        for u, v in self.directed | self.undirected:
+            out[u].add(v)
+            out[v].add(u)
+        return out
 
 
 @dataclass(frozen=True)
@@ -269,15 +239,16 @@ def d_separated(
 
 
 def meek_closure(g: Pdag) -> Pdag:
-    """Apply the four orientation-propagation rules until none fires.
+    """Apply Meek's first three orientation-propagation rules until none fires.
 
     Rules only orient still-undirected edges, so the arrows of ``g`` stay.
-    Closing the v-structure arrows of a DAG yields its CPDAG (Meek, UAI 1995).
+    Closing the v-structure arrows of a DAG yields its CPDAG (Meek, UAI 1995);
+    rule 4 matters only for arrows from background knowledge, which PC never adds.
     """
     p = g.p
     directed: set[Edge] = set(g.directed)
     undirected: set[Edge] = set(g.undirected)
-    adjacent = g.skeleton().neighbours()
+    adjacent = g.neighbours()
     parents: dict[int, set[int]] = {v: set() for v in range(p)}
     children: dict[int, set[int]] = {v: set() for v in range(p)}
     for u, v in directed:
@@ -302,12 +273,6 @@ def meek_closure(g: Pdag) -> Pdag:
         spokes = [c for c in parents[b] if _normalize_pair(a, c) in undirected]
         for c, d in combinations(sorted(spokes), 2):
             if c not in adjacent[d]:
-                return True
-        # Rule: a - c, c -> d, d -> b, c and b non-adjacent  =>  a -> b.
-        for c in adjacent[a]:
-            if _normalize_pair(a, c) not in undirected or c in adjacent[b] or c == b:
-                continue
-            if children[c] & parents[b]:
                 return True
         return False
 
@@ -361,20 +326,18 @@ def roll(g: Pdag | Dag, p: int, tau: int) -> RolledGraph:
     return RolledGraph(p, frozenset(edges))
 
 
-def _edge_lists(g: Dag | Skeleton | Pdag | RolledGraph) -> tuple[list[Edge], list[Edge]]:
+def _edge_lists(g: Dag | Pdag | RolledGraph) -> tuple[list[Edge], list[Edge]]:
     """(directed, undirected) edge lists, sorted, 0-based."""
     if isinstance(g, Dag):
         return sorted(g.edges), []
     if isinstance(g, RolledGraph):
         return sorted(g.edges), []
-    if isinstance(g, Skeleton):
-        return [], sorted(g.edges)
     if isinstance(g, Pdag):
         return sorted(g.directed), sorted(g.undirected)
     raise TypeError(f"unsupported graph type {type(g).__name__}")
 
 
-def to_dot(g: Dag | Skeleton | Pdag | RolledGraph, name: str = "G") -> str:
+def to_dot(g: Dag | Pdag | RolledGraph, name: str = "G") -> str:
     """DOT text with 1-based labels; undirected edges carry ``dir=none``."""
     directed, undirected = _edge_lists(g)
     # quoted: bare keywords (graph, node, edge, ...) are not legal DOT ids
@@ -389,7 +352,7 @@ def to_dot(g: Dag | Skeleton | Pdag | RolledGraph, name: str = "G") -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json(g: Dag | Skeleton | Pdag | RolledGraph) -> str:
+def to_json(g: Dag | Pdag | RolledGraph) -> str:
     """JSON text: ``{"p": int, "directed": [[u, v], ...], "undirected": [[u, v], ...]}`` (1-based)."""
     directed, undirected = _edge_lists(g)
     payload = {
@@ -404,21 +367,28 @@ def graph_from_json(text: str) -> Pdag | RolledGraph:
     """Parse emitter JSON back to a graph value.
 
     Returns a RolledGraph when the payload has no undirected edges (the
-    directed list may then contain self-loops), otherwise a Pdag.
+    directed list may then contain self-loops), otherwise a Pdag.  ``p`` must
+    be a positive integer and each edge list a list of integer pairs in
+    ``[1, p]``; anything else is a ValueError naming the list and the entry.
     """
     payload = json.loads(text)
     if not isinstance(payload, dict) or "p" not in payload:
         raise ValueError("graph JSON must be an object with a 'p' field")
     p = payload["p"]
-    if not isinstance(p, int) or p < 1:
+    if type(p) is not int or p < 1:  # JSON true loads as a bool, an int subclass
         raise ValueError("'p' must be a positive integer")
-    directed = [tuple(e) for e in payload.get("directed", [])]
-    undirected = [tuple(e) for e in payload.get("undirected", [])]
-    for u, v in directed + undirected:
-        if not (1 <= u <= p and 1 <= v <= p):
-            raise ValueError(f"edge ({u}, {v}) outside 1-based range [1, {p}]")
-    directed0 = [(u - 1, v - 1) for u, v in directed]
-    undirected0 = [(u - 1, v - 1) for u, v in undirected]
-    if not undirected0:
-        return RolledGraph(p, frozenset(directed0))
-    return Pdag(p, frozenset(directed0), frozenset(undirected0))
+    edges: dict[str, list[Edge]] = {}
+    for name in ("directed", "undirected"):
+        entries = payload.get(name, [])
+        if not isinstance(entries, list):
+            raise ValueError(f"'{name}' must be a list of [u, v] pairs, got {json.dumps(entries)}")
+        for e in entries:
+            if not (isinstance(e, list) and len(e) == 2
+                    and all(type(v) is int and 1 <= v <= p for v in e)):
+                raise ValueError(
+                    f"'{name}' entry {json.dumps(e)} is not a pair of integers in [1, {p}]"
+                )
+        edges[name] = [(u - 1, v - 1) for u, v in entries]
+    if not edges["undirected"]:
+        return RolledGraph(p, frozenset(edges["directed"]))
+    return Pdag(p, frozenset(edges["directed"]), frozenset(edges["undirected"]))

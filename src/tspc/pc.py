@@ -6,10 +6,11 @@ candidate pool adj(i) minus j holds at least l nodes, and tests i against j
 given every size-l subset of that pool in lexicographic order, deleting the
 edge and recording the first separating set found; the decision log holds
 each test as its (query, outcome) pair.  The search stops once no pair has a
-pool larger than the current size (or a configured cap is hit).
-Orientation reads the separating-set table (one entry per non-adjacent
-pair): each common neighbour outside an entry's set becomes the tip of two
-arrowheads, and ``graphs.meek_closure`` closes the rest.  On exact CI
+pool larger than the current size (or a configured cap is hit); the
+surviving edges form an arrowless ``Pdag``.  Orientation reads the
+separating-set table (one entry per non-adjacent pair): each common
+neighbour outside an entry's set becomes the tip of two arrowheads, and
+``graphs.meek_closure`` closes the rest with Meek's rules 1-3.  On exact CI
 answers (a ``Dag`` as the test) the result is the CPDAG of that graph.
 
 Arrowhead demands that contradict each other (both directions requested for
@@ -37,7 +38,7 @@ from .citests import (
     sample_covariance,
 )
 from .data import DataMatrix
-from .graphs import Dag, Pdag, Skeleton, d_separated, meek_closure
+from .graphs import Dag, Pdag, d_separated, meek_closure
 
 __all__ = [
     "CiQueryError",
@@ -107,7 +108,6 @@ class PcConfig:
 @dataclass(frozen=True)
 class PcResult:
     pdag: Pdag
-    skeleton: Skeleton
     sepsets: SepSets
     decisions: tuple[tuple[CiQuery, CiOutcome], ...]
     diagnostics: tuple[str, ...]
@@ -118,11 +118,12 @@ def find_skeleton(
     p: int,
     config: PcConfig = PcConfig(),
     log: list[tuple[CiQuery, CiOutcome]] | None = None,
-) -> tuple[Skeleton, SepSets]:
+) -> tuple[Pdag, SepSets]:
     """Level-wise edge removal starting from the complete graph.
 
-    Returns the surviving skeleton and the separating set recorded for every
-    removed edge (so the table covers exactly the non-adjacent pairs).  The
+    Returns the surviving skeleton, an arrowless Pdag, and the separating set
+    recorded for every removed edge (so the table covers exactly the
+    non-adjacent pairs).  The
     exact query sequence is a pure function of p, the configuration, and the
     CI answers, which makes decision logs replayable.  log, when given, gets
     each query passed to ci and the outcome ci returned, as a pair.
@@ -163,21 +164,25 @@ def find_skeleton(
         level += 1
 
     edges = frozenset((i, j) for i in range(p) for j in adj[i] if i < j)
-    return Skeleton(p, edges), seps
+    return Pdag(p, undirected=edges), seps
 
 
 def orient(
-    skeleton: Skeleton,
+    skeleton: Pdag,
     sepsets: Mapping[tuple[int, int], Iterable[int]],
     diagnostics: list[str] | None = None,
 ) -> Pdag:
     """Collider orientation from separating sets, then rule propagation.
 
-    The separating-set table must cover every non-adjacent pair.  All
-    arrowhead demands are collected before any is applied; a pair demanded
-    in both directions stays undirected and adds a diagnostic message.
+    The skeleton has no arrows.  The separating-set table must give each
+    non-adjacent pair one set, under either key order.  All arrowhead
+    demands are collected before any is applied; a pair demanded in both
+    directions stays undirected and adds a diagnostic message.
     """
+    if skeleton.directed:
+        raise ValueError("the skeleton to orient must have no arrows")
     p = skeleton.p
+    adjacent = skeleton.neighbours()
     norm: SepSets = {}
     for key, s in sepsets.items():
         a, b = key
@@ -186,7 +191,7 @@ def orient(
         pair = sepset_key(int(a), int(b))
         if not (0 <= pair[0] and pair[1] < p):
             raise ValueError(f"separating-set key {key} out of range for p={p}")
-        if skeleton.has_edge(*pair):
+        if pair[1] in adjacent[pair[0]]:
             raise ValueError(
                 f"separating-set entry for adjacent pair ({pair[0] + 1}, {pair[1] + 1})"
             )
@@ -197,17 +202,17 @@ def orient(
             raise ValueError(
                 f"separating set for ({pair[0] + 1}, {pair[1] + 1}) contains an endpoint"
             )
-        norm[pair] = members
+        if norm.setdefault(pair, members) != members:
+            raise ValueError(f"two different separating sets for ({pair[0] + 1}, {pair[1] + 1})")
 
     # Every key is a distinct non-adjacent pair, so a count shows coverage.
-    if len(norm) < p * (p - 1) // 2 - len(skeleton.edges):
+    if len(norm) < p * (p - 1) // 2 - len(skeleton.undirected):
         i, j = next(
             pair for pair in combinations(range(p), 2)
-            if pair not in norm and not skeleton.has_edge(*pair)
+            if pair not in norm and pair[1] not in adjacent[pair[0]]
         )
         raise ValueError(f"separating-set table missing non-adjacent pair ({i + 1}, {j + 1})")
 
-    adjacent = skeleton.neighbours()
     demands: set[tuple[int, int]] = set()
     for (i, j), sep in norm.items():
         for c in adjacent[i] & adjacent[j]:
@@ -230,7 +235,7 @@ def orient(
         (a, b) for a, b in demands if sepset_key(a, b) not in conflicted
     )
     oriented_pairs = {sepset_key(a, b) for a, b in directed}
-    undirected = frozenset(e for e in skeleton.edges if e not in oriented_pairs)
+    undirected = frozenset(e for e in skeleton.undirected if e not in oriented_pairs)
     return meek_closure(Pdag(p, directed, undirected))
 
 
@@ -290,14 +295,14 @@ def pc(data: DataMatrix | np.ndarray, config: PcConfig = PcConfig()) -> PcResult
     diagnostics: list[str] = []
     if search is not config:
         # The cap bound if some adjacent pair still had a larger pool.
-        degrees = Counter(v for edge in skeleton.edges for v in edge)
+        degrees = Counter(v for edge in skeleton.undirected for v in edge)
         if max(degrees.values(), default=0) - 1 > search.max_cond_size:
             diagnostics.append(
                 f"conditioning sets capped at size {n - 4}: the Fisher-z threshold "
                 f"at level alpha needs n - |k| - 3 > 0 and the sample has {n} rows"
             )
     pdag = orient(skeleton, seps, diagnostics)
-    return PcResult(pdag, skeleton, seps, tuple(log), tuple(diagnostics))
+    return PcResult(pdag, seps, tuple(log), tuple(diagnostics))
 
 
 def decisions_to_csv(decisions: Iterable[tuple[CiQuery, CiOutcome]]) -> str:

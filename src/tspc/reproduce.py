@@ -105,6 +105,9 @@ class SweepConfig:
                 raise ValueError(f"alpha values must lie in (0, 1), got {a}")
         if self.reps < 1:
             raise ValueError(f"need at least 1 repetition, got {self.reps}")
+        if self.calibration_replicates < 1:
+            raise ValueError(f"calibration_replicates must be at least 1, "
+                             f"got {self.calibration_replicates}")
         if not self.calibration_block > 1.0:
             raise ValueError(f"calibration_block must exceed 1, got {self.calibration_block}")
         if "TPCNSHS" in methods and self.window_length < CALIBRATION_MIN_ROWS:

@@ -10,7 +10,7 @@ from tspc import cli
 from tspc.citests import BootstrapConfig, decoupled_pair_gamma
 from tspc.cli import main
 from tspc.data import DataMatrix, ingest_csv, write_csv
-from tspc.graphs import RolledGraph, to_json
+from tspc.graphs import Pdag, RolledGraph, to_json
 from tspc.pc import PcConfig
 from tspc.reproduce import SweepConfig
 from tspc.rng import STREAM_CALIBRATE, STREAM_SUBSAMPLE, derive_seed
@@ -144,6 +144,28 @@ class TestDiscover:
         ])
         assert rc == 2
         assert "--truth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("truth,message", [
+        (None, "truth graph not found"),
+        (to_json(Pdag(3, undirected=frozenset({(0, 1)}))),
+         "not a usable truth graph: truth must be fully directed"),
+        (to_json(RolledGraph(4, frozenset())), "truth has 4 nodes but the search runs on 3"),
+        ('{"p": 3, "directed": [[1, 2.0]]}',
+         "'directed' entry [1, 2.0] is not a pair of integers in [1, 3]"),
+    ])
+    def test_unusable_truth_is_usage_error_naming_the_file(self, tmp_path, capsys, truth,
+                                                           message):
+        data = chain_csv(tmp_path / "chain.csv", n=100)
+        path = tmp_path / "truth.json"
+        if truth is not None:
+            path.write_text(truth)
+        out = tmp_path / "o"
+        rc = main(["discover", "--method", "pc", "--test", "oracle", "--truth", str(path),
+                   "--in", str(data), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "truth.json" in err and message in err
+        assert not out.exists()
 
     def test_unknown_format_rejected(self, tmp_path, capsys):
         data = chain_csv(tmp_path / "chain.csv")
@@ -412,6 +434,47 @@ class TestDiscover:
         assert "line 2: bad value 'treu' for 'stable'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines,message", [
+        # none or an empty value only clears a flag whose default is None
+        ("method=pc\nalpha=none\n", "line 2: bad value 'none' for 'alpha'"),
+        ("method=pc\ntau=\n", "line 2: bad value '' for 'tau'"),
+        ("method=tpcns\nL=None\n", "line 2: bad value 'None' for 'L'"),
+        ("method=pc\nalpha=0.o5\n", "line 2: bad value '0.o5' for 'alpha'"),
+        ("method=pc\nstable\n", "line 2: expected key=value, got 'stable'"),
+        ("method=ges\n", "line 1: 'method' must be one of ('pc', 'tpcs', 'tpcns'), got 'ges'"),
+    ])
+    def test_bad_config_line_is_usage_error(self, tmp_path, capsys, lines, message):
+        data = chain_csv(tmp_path / "chain.csv", n=100)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(lines)
+        out = tmp_path / "o"
+        assert main(["discover", "--config", str(cfg), "--in", str(data), "--out", str(out)]) == 2
+        assert f"bad.cfg: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        data = chain_csv(tmp_path / "chain.csv", n=100)
+        out = tmp_path / "o"
+        rc = main(["discover", "--method", "pc", "--config", str(tmp_path / "gone.cfg"),
+                   "--in", str(data), "--out", str(out)])
+        assert rc == 2
+        assert f"config file not found: {tmp_path / 'gone.cfg'}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_none_keeps_a_default_of_none(self, tmp_path):
+        data = chain_csv(tmp_path / "chain.csv", n=100)
+        cfg = tmp_path / "flags.cfg"
+        cfg.write_text("method=none\ngamma=none\ntruth=None\nmax-rows=\nmax-cond-size=none\n")
+        plain, configured = tmp_path / "plain", tmp_path / "configured"
+        assert main(["discover", "--method", "pc", "--in", str(data), "--out", str(plain)]) == 0
+        assert main(["discover", "--method", "pc", "--config", str(cfg),
+                     "--in", str(data), "--out", str(configured)]) == 0
+        for name in ("graph.json", "decisions.csv"):
+            assert (configured / name).read_bytes() == (plain / name).read_bytes()
+        config = (configured / "config.txt").read_text()
+        assert config == (plain / "config.txt").read_text().replace(
+            str(plain), str(configured))
+
     def test_river_runoff_profile_runs_on_wide_csv(self, tmp_path):
         rng = np.random.default_rng(123)
         wide = tmp_path / "wide.csv"
@@ -515,6 +578,24 @@ class TestEvaluate:
         rc = main(["evaluate", "--est", str(est), "--truth", str(tmp_path / "gone.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("payload,message", [
+        ('{"p": 4, "directed": 5}', "'directed' must be a list of [u, v] pairs, got 5"),
+        ('{"p": 4, "directed": [[1, "a"]]}',
+         "'directed' entry [1, \"a\"] is not a pair of integers in [1, 4]"),
+        ('{"p": 4, "undirected": [[1.5, 2]]}',
+         "'undirected' entry [1.5, 2] is not a pair of integers in [1, 4]"),
+        ('{"p": true, "directed": []}', "'p' must be a positive integer"),
+    ])
+    def test_malformed_graph_is_usage_error_naming_the_file(self, tmp_path, capsys, payload,
+                                                            message):
+        est = tmp_path / "est.json"
+        bad = tmp_path / "bad.json"
+        est.write_text(MOTIF_JSON)
+        bad.write_text(payload)
+        rc = main(["evaluate", "--est", str(est), "--truth", str(bad)])
+        assert rc == 2
+        assert f"bad.json: {message}" in capsys.readouterr().err
+
 
 class TestReproduce:
     def test_zero_reps_is_usage_error(self, tmp_path, capsys):
@@ -582,6 +663,21 @@ class TestReproduce:
     def test_calibration_block_checked_before_any_cell_runs(self):
         with pytest.raises(ValueError, match="calibration_block"):
             SweepConfig(paradigm="CTRNN", calibration_block=1.0)
+
+    def test_calibration_replicates_checked_before_any_cell_runs(self):
+        # zero replicates used to run the Gaussian cells, then fail at the first kernel cell
+        with pytest.raises(ValueError, match="calibration_replicates must be at least 1, got 0"):
+            SweepConfig(paradigm="CTRNN", methods=("PC", "TPCSHS"), calibration_replicates=0)
+
+    def test_config_none_for_a_set_default_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("hsic-max-rows=none\n")
+        out = tmp_path / "o"
+        rc = main(["reproduce", "--paradigm", "LinearGaussianVAR", "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "line 1: bad value 'none' for 'hsic-max-rows'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_short_subsample_window_rejected_for_kernel_calibration(self):
         with pytest.raises(ValueError, match="window_length=19"):

@@ -13,7 +13,6 @@ from tspc.graphs import (
     Dag,
     Pdag,
     RolledGraph,
-    Skeleton,
     ancestors,
     d_separated,
     graph_from_json,
@@ -170,9 +169,20 @@ class TestCpdag:
         arrows = set()
         for i, c, j in v_structures_oracle(g):
             arrows |= {(i, c), (j, c)}
-        undirected = g.skeleton().edges - {(min(e), max(e)) for e in arrows}
-        pattern = Pdag(g.p, frozenset(arrows), undirected)
+        pattern = Pdag(g.p, frozenset(arrows), g.edges - arrows)
         assert meek_closure(pattern) == Pdag(g.p, *consensus_cpdag_oracle(g))
+
+    def test_meek_closure_ignores_node_labels(self):
+        # an inconsistent sample pattern: a rule 4 without its adjacency
+        # condition closed this with 0->1, and the 0/1 swap with 1->0
+        g = Pdag(4, directed=frozenset({(2, 3), (3, 1)}), undirected=frozenset({(0, 1), (0, 2)}))
+        swap = {0: 1, 1: 0, 2: 2, 3: 3}
+
+        def relabel(h):
+            return Pdag(4, frozenset((swap[u], swap[v]) for u, v in h.directed),
+                        frozenset((swap[u], swap[v]) for u, v in h.undirected))
+
+        assert meek_closure(relabel(g)) == relabel(meek_closure(g))
 
     def test_meek_closure_idempotent(self):
         g = Pdag(4, directed=frozenset({(0, 2), (1, 2)}), undirected=frozenset({(2, 3)}))
@@ -298,5 +308,5 @@ class TestEmitters:
             graph_from_json('{"p": 2, "directed": [[1, 3]], "undirected": []}')
 
     def test_skeleton_emits_undirected_only(self):
-        dot = to_dot(Skeleton(2, frozenset({(0, 1)})))
+        dot = to_dot(Pdag(2, undirected=frozenset({(0, 1)})))
         assert "[dir=none]" in dot

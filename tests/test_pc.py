@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tspc.citests import CiOutcome, CiQuery, CiTestError, GaussianCiConfig, HsicConfig
-from tspc.graphs import Dag, Pdag, Skeleton, d_separated, roll
+from tspc.graphs import Dag, Pdag, d_separated, roll
 from tspc.pc import (
     CiQueryError,
     PcConfig,
@@ -45,28 +45,28 @@ class TestConfig:
 class TestFindSkeleton:
     def test_motif_oracle(self):
         skeleton, seps = find_skeleton(oracle_ci(MOTIF), 4)
-        assert skeleton.edges == frozenset({(0, 2), (1, 2), (2, 3)})
+        assert skeleton.undirected == frozenset({(0, 2), (1, 2), (2, 3)})
         assert seps[sepset_key(0, 1)] == ()
         assert 2 in seps[sepset_key(0, 3)]
         assert 2 in seps[sepset_key(1, 3)]
 
     def test_empty_graph_all_removed_at_level_zero(self):
         skeleton, seps = find_skeleton(oracle_ci(Dag(4)), 4)
-        assert skeleton.edges == frozenset()
+        assert skeleton.undirected == frozenset()
         assert all(s == () for s in seps.values())
         assert len(seps) == 6
 
     def test_complete_graph_keeps_everything(self):
         complete = Dag(3, frozenset({(0, 1), (0, 2), (1, 2)}))
         skeleton, seps = find_skeleton(oracle_ci(complete), 3)
-        assert skeleton.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+        assert skeleton.undirected == frozenset({(0, 1), (0, 2), (1, 2)})
         assert seps == {}
 
     def test_max_cond_size_zero_stops_after_marginals(self):
         skeleton, _ = find_skeleton(oracle_ci(MOTIF), 4, PcConfig(max_cond_size=0))
         # 0-3 and 1-3 need a size-1 separating set, so they survive the cap
-        assert (0, 3) in skeleton.edges
-        assert (1, 3) in skeleton.edges
+        assert (0, 3) in skeleton.undirected
+        assert (1, 3) in skeleton.undirected
 
     def test_ci_failure_carries_query(self):
         def broken(query: CiQuery) -> CiOutcome:
@@ -151,19 +151,19 @@ class TestFindSkeleton:
 
 class TestOrient:
     def test_collider_from_empty_sepset(self):
-        skel = Skeleton(3, frozenset({(0, 2), (1, 2)}))
+        skel = Pdag(3, undirected=frozenset({(0, 2), (1, 2)}))
         out = orient(skel, {(0, 1): ()})
         assert out.directed == frozenset({(0, 2), (1, 2)})
         assert out.undirected == frozenset()
 
     def test_chain_stays_undirected(self):
-        skel = Skeleton(3, frozenset({(0, 1), (1, 2)}))
+        skel = Pdag(3, undirected=frozenset({(0, 1), (1, 2)}))
         out = orient(skel, {(0, 2): (1,)})
         assert out.directed == frozenset()
         assert out.undirected == frozenset({(0, 1), (1, 2)})
 
     def test_collider_then_meek_rule_one(self):
-        skel = Skeleton(4, frozenset({(0, 2), (1, 2), (2, 3)}))
+        skel = Pdag(4, undirected=frozenset({(0, 2), (1, 2), (2, 3)}))
         seps = {(0, 1): (), (0, 3): (2,), (1, 3): (2,)}
         out = orient(skel, seps)
         assert out.directed == frozenset({(0, 2), (1, 2), (2, 3)})
@@ -172,19 +172,19 @@ class TestOrient:
         # a 4-cycle with both diagonals separated by the empty set demands
         # every edge in both directions; all demands cancel and no
         # propagation rule can fire on an arrowless graph
-        skel = Skeleton(4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
+        skel = Pdag(4, undirected=frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
         seps = {(0, 2): (), (1, 3): ()}
         diagnostics: list[str] = []
         out = orient(skel, seps, diagnostics)
         assert out.directed == frozenset()
-        assert out.undirected == skel.edges
+        assert out.undirected == skel.undirected
         assert len(diagnostics) == 4
         assert all("left undirected" in d for d in diagnostics)
 
     def test_conflicted_edge_may_be_reoriented_by_propagation(self):
         # cancellation applies to the collider phase; the closure afterwards
         # may still direct the edge, and the diagnostic records the fight
-        skel = Skeleton(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+        skel = Pdag(4, undirected=frozenset({(0, 1), (1, 2), (2, 3)}))
         seps = {(0, 2): (), (1, 3): (), (0, 3): ()}
         diagnostics: list[str] = []
         out = orient(skel, seps, diagnostics)
@@ -193,18 +193,38 @@ class TestOrient:
         assert not any((b, a) in out.directed for a, b in out.directed)
 
     def test_missing_sepset_entry_rejected(self):
-        skel = Skeleton(3, frozenset({(0, 2), (1, 2)}))
+        skel = Pdag(3, undirected=frozenset({(0, 2), (1, 2)}))
         with pytest.raises(ValueError, match="missing"):
             orient(skel, {})
 
     def test_entry_for_adjacent_pair_rejected(self):
-        skel = Skeleton(2, frozenset({(0, 1)}))
+        skel = Pdag(2, undirected=frozenset({(0, 1)}))
         with pytest.raises(ValueError, match="adjacent"):
             orient(skel, {(0, 1): ()})
 
+    @pytest.mark.parametrize("seps", [
+        {(0, 1): (), (1, 0): (2,)},
+        {(1, 0): (2,), (0, 1): ()},
+    ])
+    def test_pair_given_two_different_sets_rejected(self, seps):
+        # either set alone decides the collider 1->3<-2, so neither may win by its place
+        skel = Pdag(3, undirected=frozenset({(0, 2), (1, 2)}))
+        with pytest.raises(ValueError, match=r"two different separating sets for \(1, 2\)"):
+            orient(skel, seps)
+
+    def test_pair_given_one_set_twice_accepted(self):
+        skel = Pdag(3, undirected=frozenset({(0, 2), (1, 2)}))
+        out = orient(skel, {(0, 1): (), (1, 0): []})
+        assert out.directed == frozenset({(0, 2), (1, 2)})
+
+    def test_skeleton_with_arrows_rejected(self):
+        with pytest.raises(ValueError, match="no arrows"):
+            orient(Pdag(3, directed=frozenset({(0, 2)}), undirected=frozenset({(1, 2)})),
+                   {(0, 1): ()})
+
     def test_first_missing_pair_named(self):
         # (0, 3), (1, 2) and (1, 3) are missing; the error names the first, 1-based
-        skel = Skeleton(4, frozenset({(0, 1)}))
+        skel = Pdag(4, undirected=frozenset({(0, 1)}))
         with pytest.raises(ValueError, match=r"missing non-adjacent pair \(1, 4\)"):
             orient(skel, {(3, 2): (), (2, 0): ()})
 
@@ -340,9 +360,9 @@ class TestSamplePc:
         cov = sem_covariance(random_dag(rng, p, 0.4), rng)
         values = rng.normal(size=(100, p)) @ np.linalg.cholesky(cov).T
         order = [int(v) for v in rng.permutation(p)]  # new column c is old column order[c]
-        base = pc(values, PcConfig(stable=True)).skeleton
-        permuted = pc(values[:, order], PcConfig(stable=True)).skeleton
-        assert Skeleton(p, frozenset((order[a], order[b]) for a, b in permuted.edges)) == base
+        base = pc(values, PcConfig(stable=True)).pdag.neighbours()
+        permuted = pc(values[:, order], PcConfig(stable=True)).pdag.neighbours()
+        assert {order[a]: {order[b] for b in nbrs} for a, nbrs in permuted.items()} == base
 
 
 class TestDecisionCsv:

@@ -209,7 +209,7 @@ class TestForwardTime:
         g = Pdag(nodes, frozenset(directed), frozenset(undirected))
         out = forward_time(g, p)
         assert all(unrolled_time(u, p) <= unrolled_time(v, p) for u, v in out.directed)
-        assert out.skeleton() == g.skeleton()
+        assert out.neighbours() == g.neighbours()
         assert forward_time(out, p) == out
 
 
