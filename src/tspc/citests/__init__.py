@@ -7,6 +7,7 @@ from .gaussian import (
     GaussianCiConfig,
     fisher_z,
     gaussian_ci_test,
+    gaussian_ci_tests,
     gaussian_gamma,
     partial_correlation,
     sample_covariance,
@@ -14,6 +15,7 @@ from .gaussian import (
 from .hsic import (
     ColumnFactors,
     HsicConfig,
+    column_factors,
     decoupled_pair_gamma,
     hsic_ci_test,
     hsic_conditional,
@@ -30,11 +32,13 @@ __all__ = [
     "GaussianCiConfig",
     "fisher_z",
     "gaussian_ci_test",
+    "gaussian_ci_tests",
     "gaussian_gamma",
     "partial_correlation",
     "sample_covariance",
     "ColumnFactors",
     "HsicConfig",
+    "column_factors",
     "decoupled_pair_gamma",
     "hsic_ci_test",
     "hsic_conditional",

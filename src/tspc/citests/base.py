@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 __all__ = ["CiQuery", "CiOutcome", "CiTestError"]
 
@@ -11,26 +12,32 @@ class CiTestError(ValueError):
     """Numerical failure inside a conditional-independence test."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CiQuery:
     """Ask whether variable i and variable j are independent given set k.
 
-    Indices are 0-based column positions.  i and j must differ and neither
-    may appear in k; k must hold no duplicates.
+    Indices are 0-based column positions, taken through operator.index: a
+    numpy integer is stored as an int and a float raises TypeError.  i and j
+    must differ and neither may appear in k; k must hold no duplicates.
     """
 
     i: int
     j: int
     k: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", tuple(int(c) for c in self.k))
-        if self.i == self.j:
+    def __init__(self, i: int, j: int, k: tuple[int, ...] = ()) -> None:
+        # Written out so each field is set once, after its check; a search
+        # builds one query per test.
+        i, j, k = index(i), index(j), tuple(map(index, k))
+        if i == j:
             raise ValueError("query variables must differ")
-        if self.i in self.k or self.j in self.k:
+        if i in k or j in k:
             raise ValueError("conditioning set must exclude the tested pair")
-        if len(set(self.k)) != len(self.k):
+        if len(set(k)) != len(k):
             raise ValueError("conditioning set contains duplicates")
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "k", k)
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,15 +24,20 @@ __all__ = [
     "CovMatrix",
     "GaussianCiConfig",
     "sample_covariance",
+    "sample_covariances",
     "partial_correlation",
     "fisher_z",
     "gaussian_gamma",
     "gaussian_ci_test",
+    "gaussian_ci_tests",
 ]
 
 # Cholesky pivots below this fraction of the trace mean the conditioning
 # block is numerically rank-deficient.
 _PIVOT_TOL = 1e-12
+
+# sample_covariances stacks at most this many values (512 KB) per chunk.
+_STACK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -54,11 +60,14 @@ class CovMatrix:
                 f"covariance is not finite in column(s) {bad}: the data hold inf or "
                 "nan, or a variance overflows float64"
             )
-        if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-8 * (1.0 + np.abs(arr).max())):
-            raise ValueError("covariance must be symmetric")
+        # The tolerance check runs only on a matrix that is not exactly
+        # symmetric, which sample_covariance never builds.
+        if not (arr == arr.T).all():
+            if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-8 * (1.0 + np.abs(arr).max())):
+                raise ValueError("covariance must be symmetric")
+            arr = (arr + arr.T) / 2.0
         if np.any(np.diag(arr) < -1e-12):
             raise ValueError("covariance diagonal must be nonnegative")
-        arr = (arr + arr.T) / 2.0
         arr.flags.writeable = False
         object.__setattr__(self, "sigma", arr)
         if int(self.n) != self.n or self.n < 1:
@@ -99,14 +108,35 @@ def sample_covariance(values: DataMatrix | np.ndarray) -> CovMatrix:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"data must be two-dimensional, got shape {arr.shape}")
-    n = arr.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 rows, got {n}")
-    # An overflow is reported by CovMatrix, naming the column.
-    with np.errstate(over="ignore", invalid="ignore"):
-        centered = arr - arr.mean(axis=0)
-        sigma = centered.T @ centered / n
-    return CovMatrix(sigma, n)
+    return next(sample_covariances(arr, (0,), len(arr)))
+
+
+def sample_covariances(values: np.ndarray, starts: Sequence[int], length: int
+                       ) -> Iterator[CovMatrix]:
+    """sample_covariance of each segment values[s:s + length], in the order of starts.
+
+    Segments are stacked and computed together, centering and then C^T C / n
+    on the stack, with the bits of one segment at a time: the row sums run
+    in the same order and each product is its own BLAS call.  A chunk holds
+    at most _STACK_VALUES values, or one segment, which is a view and not a
+    copy.  The covariances are checked one at a time as they are taken, so
+    a bad segment raises only once the ones before it are used.
+    """
+    if length < 2:
+        raise ValueError(f"need at least 2 rows, got {length}")
+    per_chunk = max(1, _STACK_VALUES // (length * values.shape[1] or 1))
+    for at in range(0, len(starts), per_chunk):
+        chunk = starts[at:at + per_chunk]
+        if len(chunk) == 1:
+            stack = values[None, chunk[0]:chunk[0] + length]
+        else:
+            stack = values[np.add.outer(chunk, np.arange(length))]
+        # An overflow is reported by CovMatrix, naming the column.
+        with np.errstate(over="ignore", invalid="ignore"):
+            centered = stack - stack.mean(axis=1, keepdims=True)
+            sigmas = centered.transpose(0, 2, 1) @ centered / length
+        for sigma in sigmas:
+            yield CovMatrix(sigma, length)
 
 
 def partial_correlation(cov: CovMatrix, query: CiQuery) -> float:
@@ -191,3 +221,44 @@ def gaussian_ci_test(cov: CovMatrix, query: CiQuery, config: GaussianCiConfig) -
     else:
         threshold = gaussian_gamma(config.alpha, cov.n, len(query.k))
     return CiOutcome(statistic, threshold)
+
+
+def gaussian_ci_tests(values: np.ndarray, starts: Sequence[int], length: int,
+                      config: GaussianCiConfig) -> Iterator[Callable[[CiQuery], CiOutcome]]:
+    """gaussian_ci_test on the sample covariance of each segment values[s:s + length].
+
+    The covariances come from sample_covariances, one at a time.  A query
+    with an empty conditioning set reads its correlation
+    sigma_ij / sqrt(sigma_ii sigma_jj) from a table built with the
+    covariance: partial_correlation's operations, elementwise, so its bits.
+    A zero variance still fails that query, as partial_correlation does.
+    Larger conditioning sets go through gaussian_ci_test.
+    """
+    if config.gamma is not None:
+        threshold = config.gamma
+    else:
+        threshold = gaussian_gamma(config.alpha, length, 0)
+    for cov in sample_covariances(values, starts, length):
+        yield _answerer(cov, config, threshold)
+
+
+def _answerer(cov: CovMatrix, config: GaussianCiConfig,
+              threshold: float) -> Callable[[CiQuery], CiOutcome]:
+    """One segment's answerer; threshold is the one for an empty conditioning set."""
+    p = cov.p
+    variance = cov.sigma.diagonal()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        table = (cov.sigma / np.sqrt(np.multiply.outer(variance, variance))).tolist()
+    degenerate = (variance <= 0.0).tolist()
+
+    def ci(query: CiQuery) -> CiOutcome:
+        i, j = query.i, query.j
+        # partial_correlation rejects a variable out of range.
+        if query.k or not (0 <= i < p and 0 <= j < p):
+            return gaussian_ci_test(cov, query, config)
+        if degenerate[i] or degenerate[j]:
+            raise CiTestError("degenerate residual variance")
+        rho = table[i][j]
+        return CiOutcome(math.inf if abs(rho) >= 1.0 else fisher_z(rho), threshold)
+
+    return ci

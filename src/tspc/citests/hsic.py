@@ -38,19 +38,22 @@ pairs below a limit row by row, without listing all n^2 / 2 of them.  A
 wider block, of much higher rank, keeps the dense kernel and LAPACK dpstrf.
 
 Every statistic of a search or a single query comes from a ColumnFactors,
-which caps the rows and checks their range.  A search builds one, factors
-every single column in one batch and keeps those factors for its life;
-hsic_conditional and hsic_ci_test build one per query.  pair_gamma checks
-its capped pair once and factors the x and y columns of all its bootstrap
-resamples in batches: the bootstrap hands its statistic the stack of
-resamples.
+which caps the rows and checks their range.  A batch of searches (the
+subsamples of TPC-NS, or the one sample of pc) builds one per segment
+through column_factors: one stream factors the single columns of all the
+segments, in chunks that can span segments, and each search keeps its
+factors for its life.  hsic_conditional and hsic_ci_test build one per
+query.  pair_gamma checks its capped pair once and factors the x and y
+columns of all its bootstrap resamples in batches: the bootstrap hands its
+statistic the stack of resamples.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 from scipy.linalg import lapack
@@ -63,6 +66,7 @@ __all__ = [
     "CALIBRATION_MIN_ROWS",
     "ColumnFactors",
     "HsicConfig",
+    "column_factors",
     "median_bandwidth",
     "centered_gram",
     "check_kernel_range",
@@ -438,8 +442,8 @@ def _bandwidths(columns: np.ndarray) -> np.ndarray:
     return out
 
 
-def _single_factors(columns: np.ndarray, reg: float) -> Iterator[np.ndarray]:
-    """_factor's V for each row of columns (B x n), taken as a one-column block.
+def _single_factors(columns: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """_factor's V, at reg = _regularizer(n), for each column (length n) of columns.
 
     A one-column kernel has rank of about 20 at a few hundred rows, so the
     pivoted Cholesky evaluates only its pivot columns (Bach and Jordan's
@@ -447,12 +451,14 @@ def _single_factors(columns: np.ndarray, reg: float) -> Iterator[np.ndarray]:
     from the sorted columns (_bandwidths), with no pass over all n^2 / 2
     pairs.  The bandwidth and every kernel entry have the bits of _kernel,
     and a block's factor has the same bits whatever else shares its chunk.
-    Factors are yielded in order and computed a chunk at a time, so a caller
-    that consumes them as they come holds one chunk, not all of them.
+    Columns are read and factors yielded a chunk at a time, in order, so a
+    caller that consumes them as they come holds one chunk, not all of them.
     """
-    n = columns.shape[1]
-    for start in range(0, len(columns), _CHUNK):
-        chunk = columns[start:start + _CHUNK]
+    source = iter(columns)
+    while chunk := list(islice(source, _CHUNK)):
+        chunk = np.array(chunk)
+        n = chunk.shape[1]
+        reg = _regularizer(n)
         bandwidths = np.concatenate([_bandwidths(chunk[at:at + _SELECT_COLUMNS])
                                      for at in range(0, len(chunk), _SELECT_COLUMNS)])
         live = bandwidths != 0.0
@@ -534,27 +540,38 @@ def _statistic(vx: np.ndarray, vy: np.ndarray, vz: np.ndarray | None) -> float:
     return term1 - 2.0 * term2 + float(np.sum(yzx * yzx))
 
 
+def _checked_rows(values: np.ndarray, config: HsicConfig) -> np.ndarray:
+    """values capped at config.max_rows rows, then check_kernel_range and the 4-row minimum."""
+    rows = _cap_rows(np.asarray(values, dtype=np.float64), config)
+    check_kernel_range(rows)
+    if len(rows) < 4:
+        raise ValueError(f"need at least 4 rows, got {len(rows)}")
+    return rows
+
+
 class ColumnFactors:
     """The statistic for queries (i, j | k) on the columns of one sample.
 
     Rows are capped once, to the strided subset of config.max_rows rows, and
     pass check_kernel_range before the 4-row minimum applies.  Every single
-    column is factored at construction, in one batch, and kept for the life
-    of the object: those are the unconditional endpoints and the one-column
-    conditioning sets a search asks for again and again.  A block of two or
-    more columns is factored per query, so what is kept stays within
-    p * n * rank.
+    column is factored at construction and kept for the life of the object:
+    those are the unconditional endpoints and the one-column conditioning
+    sets a search asks for again and again.  A block of two or more columns
+    is factored per query, so what is kept stays within p * n * rank.
+
+    single, when given, is the factor stream of column_factors: values are
+    then rows it has capped and checked, and the stream's next p factors
+    are theirs.
     """
 
-    def __init__(self, values: np.ndarray, config: HsicConfig = HsicConfig()) -> None:
-        self._values = _cap_rows(np.asarray(values, dtype=np.float64), config)
-        check_kernel_range(self._values)
-        n = len(self._values)
-        if n < 4:
-            raise ValueError(f"need at least 4 rows, got {n}")
-        self._reg = _regularizer(n)
-        # Level 0 of a search asks for every single column.
-        self._single = list(_single_factors(self._values.T, self._reg))
+    def __init__(self, values: np.ndarray, config: HsicConfig = HsicConfig(),
+                 single: Iterator[np.ndarray] | None = None) -> None:
+        if single is None:
+            values = _checked_rows(values, config)
+            single = _single_factors(values.T)
+        self._values = values
+        self._reg = _regularizer(len(values))
+        self._single = list(islice(single, values.shape[1]))
 
     def _block(self, columns: tuple[int, ...]) -> np.ndarray:
         if len(columns) > 1:
@@ -565,6 +582,45 @@ class ColumnFactors:
         if not k:
             return _statistic(self._block((i,)), self._block((j,)), None)
         return _statistic(self._block((i, *k)), self._block((j, *k)), self._block(k))
+
+
+def column_factors(values: np.ndarray, starts: Sequence[int], length: int,
+                   config: HsicConfig = HsicConfig()) -> Iterator[ColumnFactors]:
+    """ColumnFactors(values[s:s + length], config) for each start s, in order.
+
+    The single columns of all segments are factored as one _single_factors
+    stream, read as the segments are taken, so a chunk of the stream can
+    span segments; a factor has the same bits whatever shares its chunk.
+    Each segment is capped and checked once, when the stream or its own
+    turn reaches it, whichever comes first.  The stream stops before a
+    segment that fails, and the error is raised at that segment's turn,
+    once the ones before it are used.
+    """
+    checked: dict[int, np.ndarray | ValueError] = {}
+
+    def rows(s: int) -> np.ndarray | ValueError:
+        if s not in checked:
+            try:
+                checked[s] = _checked_rows(values[starts[s]:starts[s] + length], config)
+            except ValueError as exc:
+                checked[s] = exc
+        return checked[s]
+
+    def columns() -> Iterator[np.ndarray]:
+        for s in range(len(starts)):
+            segment = rows(s)
+            if isinstance(segment, ValueError):
+                return
+            yield from segment.T
+
+    single = _single_factors(columns())
+    for s in range(len(starts)):
+        segment = rows(s)
+        if isinstance(segment, ValueError):
+            raise segment
+        factors = ColumnFactors(segment, single=single)
+        del checked[s]
+        yield factors
 
 
 def _stack_query(x: np.ndarray, y: np.ndarray, z: np.ndarray | None) -> np.ndarray:
@@ -675,11 +731,9 @@ def pair_gamma(
     if block != boot.expected_block_length:
         boot = replace(boot, expected_block_length=block)
 
-    reg = _regularizer(len(arr))
-
     def stat(resamples: np.ndarray) -> np.ndarray:
-        xs = _single_factors(resamples[:, :, 0], reg)
-        ys = _single_factors(resamples[:, :, 1], reg)
+        xs = _single_factors(resamples[:, :, 0])
+        ys = _single_factors(resamples[:, :, 1])
         return np.array([_statistic(vx, vy, None) for vx, vy in zip(xs, ys)])
 
     return stationary_bootstrap_threshold(arr, stat, boot)

@@ -9,7 +9,8 @@ orientation-propagation step; the CPDAG of a separating-set table is
 built by ``pc.orient`` on top of it.
 
 All values are immutable; every operation is a pure function.
-I/O emitters print 1-based labels, in-memory indices stay 0-based.
+I/O emitters and error messages print 1-based labels, in-memory indices
+stay 0-based.
 """
 
 from __future__ import annotations
@@ -71,9 +72,9 @@ class Dag:
             _check_node(self.p, u)
             _check_node(self.p, v)
             if u == v:
-                raise ValueError(f"self-loop {u} -> {v} not allowed in a DAG")
+                raise ValueError(f"self-loop {u + 1} -> {v + 1} not allowed in a DAG")
             if (v, u) in self.edges:
-                raise ValueError(f"antiparallel pair between {u} and {v}")
+                raise ValueError(f"antiparallel pair between {u + 1} and {v + 1}")
         if not is_acyclic(self.p, self.edges):
             raise ValueError("edge set contains a directed cycle")
 
@@ -102,17 +103,17 @@ class Pdag:
             _check_node(self.p, u)
             _check_node(self.p, v)
             if u == v:
-                raise ValueError(f"self-loop {u} -> {v} not allowed")
+                raise ValueError(f"self-loop {u + 1} -> {v + 1} not allowed")
             if (v, u) in directed:
-                raise ValueError(f"both orientations present between {u} and {v}")
+                raise ValueError(f"both orientations present between {u + 1} and {v + 1}")
             seen.add(_normalize_pair(u, v))
         for u, v in undirected:
             _check_node(self.p, u)
             _check_node(self.p, v)
             if u == v:
-                raise ValueError(f"self-loop at {u} not allowed")
+                raise ValueError(f"self-loop at {u + 1} not allowed")
             if (u, v) in seen:
-                raise ValueError(f"pair ({u}, {v}) is both directed and undirected")
+                raise ValueError(f"pair ({u + 1}, {v + 1}) is both directed and undirected")
 
     def neighbours(self) -> dict[int, set[int]]:
         """Every node's adjacent nodes, over directed and undirected edges alike."""

@@ -16,6 +16,13 @@ answers (a ``Dag`` as the test) the result is the CPDAG of that graph.
 Arrowhead demands that contradict each other (both directions requested for
 one edge) cancel: the edge stays undirected and the conflict is reported as
 a diagnostic instead of silently picking a side.
+
+pc_segments searches many row segments of one matrix, as TPC-NS does with
+its subsamples, and pc() is its batch of one.  The CI answerers of all
+segments are built as one batch: for Fisher-z one stacked covariance pass
+and a table of level-0 correlations per segment, for the kernel test one
+stream of single-column factors.  Each segment is then searched and
+oriented alone, bit for bit as if it were searched alone.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,8 +41,8 @@ from .citests import (
     ColumnFactors,
     GaussianCiConfig,
     HsicConfig,
-    gaussian_ci_test,
-    sample_covariance,
+    column_factors,
+    gaussian_ci_tests,
 )
 from .data import DataMatrix
 from .graphs import Dag, Pdag, d_separated, meek_closure
@@ -50,6 +57,7 @@ __all__ = [
     "oracle_ci",
     "orient",
     "pc",
+    "pc_segments",
     "sepset_key",
 ]
 
@@ -139,13 +147,12 @@ def find_skeleton(
     while True:
         pools = {v: frozenset(adj[v]) for v in range(p)} if config.stable else None
         for i in range(p):
-            for j in range(p):
-                if i == j or j not in adj[i]:
-                    continue
+            # Only the edge (i, j) itself leaves adj[i] during j's turn.
+            for j in sorted(adj[i]):
                 base = (pools[i] if pools is not None else adj[i]) - {j}
                 if len(base) < level:
                     continue
-                for k in combinations(sorted(base), level):
+                for k in combinations(sorted(base), level) if level else ((),):
                     query = CiQuery(i, j, k)
                     try:
                         outcome = ci(query)
@@ -158,7 +165,7 @@ def find_skeleton(
                         adj[j].discard(i)
                         seps[sepset_key(i, j)] = k
                         break
-        done = all(len(adj[i] - {j}) <= level for i in range(p) for j in adj[i])
+        done = all(len(adj[v]) - 1 <= level for v in range(p) if adj[v])
         if done or level >= max_cond:
             break
         level += 1
@@ -249,33 +256,47 @@ def oracle_ci(truth: Dag) -> Callable[[CiQuery], CiOutcome]:
     return ci
 
 
-def _make_ci(
-    values: np.ndarray, test: GaussianCiConfig | HsicConfig | Dag
-) -> Callable[[CiQuery], CiOutcome]:
+def _answerers(
+    values: np.ndarray, starts: Sequence[int], length: int,
+    test: GaussianCiConfig | HsicConfig | Dag,
+) -> Iterator[Callable[[CiQuery], CiOutcome]]:
+    """The CI answerer of each segment values[s:s + length], built as one batch."""
     if isinstance(test, GaussianCiConfig):
-        cov = sample_covariance(values)
-
-        def ci(query: CiQuery) -> CiOutcome:
-            return gaussian_ci_test(cov, query, test)
-
-        return ci
+        return gaussian_ci_tests(values, starts, length, test)
     if isinstance(test, HsicConfig):
-        # Rows capped and checked once, single-column factors kept, per search.
-        factors = ColumnFactors(values, test)
+        return (_kernel_answerer(factors, test.gamma)
+                for factors in column_factors(values, starts, length, test))
+    return (oracle_ci(test) for _ in starts)
 
-        def ci(query: CiQuery) -> CiOutcome:
-            return CiOutcome(factors.statistic(query.i, query.j, query.k), test.gamma)
 
-        return ci
-    return oracle_ci(test)
+def _kernel_answerer(factors: ColumnFactors, gamma: float) -> Callable[[CiQuery], CiOutcome]:
+    def ci(query: CiQuery) -> CiOutcome:
+        return CiOutcome(factors.statistic(query.i, query.j, query.k), gamma)
+
+    return ci
 
 
 def pc(data: DataMatrix | np.ndarray, config: PcConfig = PcConfig()) -> PcResult:
-    """Skeleton search plus orientation on one sample matrix."""
+    """Skeleton search plus orientation on one sample matrix: a batch of one."""
     values = data.values if isinstance(data, DataMatrix) else np.asarray(data, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"data must be two-dimensional, got shape {values.shape}")
-    n, p = values.shape
+    return next(pc_segments(values, (0,), len(values), config))
+
+
+def pc_segments(
+    values: np.ndarray, starts: Sequence[int], length: int, config: PcConfig = PcConfig()
+) -> Iterator[PcResult]:
+    """pc() on each segment values[s:s + length] of a float64 matrix, in the order of starts.
+
+    The CI answerers of all segments are built as one batch (_answerers):
+    one stacked covariance pass for Fisher-z, one single-column factor
+    stream for the kernel test.  Each segment is then searched and oriented
+    alone, and each result has the bits pc() gives that segment alone.  A
+    segment that fails raises the error pc() raises on it, once the results
+    before it are taken.
+    """
+    n, p = length, values.shape[1]
     if isinstance(config.test, Dag) and config.test.p != p:
         raise ValueError(
             f"the oracle graph has {config.test.p} nodes but the data has {p} columns"
@@ -289,20 +310,20 @@ def pc(data: DataMatrix | np.ndarray, config: PcConfig = PcConfig()) -> PcResult
         reachable = config.max_cond_size if config.max_cond_size is not None else max(p - 2, 0)
         if reachable > n - 4:
             search = replace(config, max_cond_size=n - 4)
-    ci = _make_ci(values, config.test)
-    log: list[tuple[CiQuery, CiOutcome]] = []
-    skeleton, seps = find_skeleton(ci, p, search, log)
-    diagnostics: list[str] = []
-    if search is not config:
-        # The cap bound if some adjacent pair still had a larger pool.
-        degrees = Counter(v for edge in skeleton.undirected for v in edge)
-        if max(degrees.values(), default=0) - 1 > search.max_cond_size:
-            diagnostics.append(
-                f"conditioning sets capped at size {n - 4}: the Fisher-z threshold "
-                f"at level alpha needs n - |k| - 3 > 0 and the sample has {n} rows"
-            )
-    pdag = orient(skeleton, seps, diagnostics)
-    return PcResult(pdag, seps, tuple(log), tuple(diagnostics))
+    for ci in _answerers(values, starts, length, config.test):
+        log: list[tuple[CiQuery, CiOutcome]] = []
+        skeleton, seps = find_skeleton(ci, p, search, log)
+        diagnostics: list[str] = []
+        if search is not config:
+            # The cap bound if some adjacent pair still had a larger pool.
+            degrees = Counter(v for edge in skeleton.undirected for v in edge)
+            if max(degrees.values(), default=0) - 1 > search.max_cond_size:
+                diagnostics.append(
+                    f"conditioning sets capped at size {n - 4}: the Fisher-z threshold "
+                    f"at level alpha needs n - |k| - 3 > 0 and the sample has {n} rows"
+                )
+        pdag = orient(skeleton, seps, diagnostics)
+        yield PcResult(pdag, seps, tuple(log), tuple(diagnostics))
 
 
 def decisions_to_csv(decisions: Iterable[tuple[CiQuery, CiOutcome]]) -> str:

@@ -9,7 +9,9 @@ respect time order.  Plain PC is the case tau = r = 1.
 The subsampled variant runs the search on many short contiguous stretches of
 the unrolled sample and keeps the edges that recur: averaging over windows
 trades single-run power for robustness against nonstationarity and slow
-mixing, which is the regime long dependent series live in.
+mixing, which is the regime long dependent series live in.  The stretches
+are searched as one batch (pc.pc_segments), with the results and the
+errors of searching each one alone, in turn.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .data import DataMatrix
 from .graphs import Pdag, RolledGraph, roll, unrolled_time
-from .pc import PcConfig, PcResult, pc
+from .pc import PcConfig, PcResult, pc, pc_segments
 from .rng import make_generator
 
 __all__ = [
@@ -180,7 +182,7 @@ class TpcnsResult:
 
 
 def tpcns(data: DataMatrix, config: TpcnsConfig) -> TpcnsResult:
-    """Run the search per subsample and keep edges that recur often enough.
+    """Search the subsamples as one batch and keep edges that recur often enough.
 
     Per subsample the oriented result is coerced forward in time, rolled,
     and its edges counted.  The frequency map holds every edge seen at least
@@ -194,9 +196,7 @@ def tpcns(data: DataMatrix, config: TpcnsConfig) -> TpcnsResult:
     starts = rng.integers(0, chi.n - config.window_length + 1, size=config.num_subsamples)
     counts: dict[tuple[int, int], int] = {}
     notes: dict[str, int] = {}
-    for start in starts:
-        segment = chi.values[start:start + config.window_length]
-        result = pc(segment, config.pc)
+    for result in pc_segments(chi.values, starts, config.window_length, config.pc):
         rolled = roll(forward_time(result.pdag, p), p, config.window.tau)
         for edge in rolled.edges:
             counts[edge] = counts.get(edge, 0) + 1

@@ -15,9 +15,12 @@ from scipy import linalg as sla
 from scipy.linalg import lapack
 from scipy.spatial.distance import pdist
 
-from tspc.citests import hsic
-from tspc.graphs import Dag, Pdag
-from tspc.pc import PcConfig, find_skeleton, oracle_ci, orient
+from tspc.citests import CiOutcome, CiQuery, gaussian_ci_test, hsic, sample_covariance
+from tspc.data import DataMatrix
+from tspc.graphs import Dag, Pdag, RolledGraph, roll
+from tspc.pc import PcConfig, find_skeleton, oracle_ci, orient, pc
+from tspc.rng import make_generator
+from tspc.tpc import TpcnsConfig, TpcnsResult, forward_time, unroll, unrolled_rows
 
 
 def ancestors_oracle(g: Dag, nodes) -> set[int]:
@@ -128,6 +131,51 @@ def population_pc(g: Dag, stable: bool = False) -> Pdag:
     """
     skeleton, seps = find_skeleton(oracle_ci(g), g.p, PcConfig(g, stable=stable))
     return orient(skeleton, seps)
+
+
+def tpcns_loop(data: DataMatrix, config: TpcnsConfig) -> TpcnsResult:
+    """tpcns as a loop of pc() calls, one subsample searched at a time.
+
+    The batched tpcns must give exactly this: the same frequencies, starts,
+    diagnostics and graph, and the same error from the same subsample.
+    """
+    p = data.p
+    unrolled_rows(data.n, config.window, config.window_length)
+    chi = unroll(data, config.window)
+    starts = make_generator(config.seed).integers(
+        0, chi.n - config.window_length + 1, size=config.num_subsamples)
+    counts: dict[tuple[int, int], int] = {}
+    notes: dict[str, int] = {}
+    for start in starts:
+        result = pc(chi.values[start:start + config.window_length], config.pc)
+        for edge in roll(forward_time(result.pdag, p), p, config.window.tau).edges:
+            counts[edge] = counts.get(edge, 0) + 1
+        for line in dict.fromkeys(result.diagnostics):
+            notes[line] = notes.get(line, 0) + 1
+    frequencies = {e: c / config.num_subsamples for e, c in counts.items()}
+    return TpcnsResult(
+        RolledGraph(p, frozenset(e for e, f in frequencies.items() if f >= config.freq_cutoff)),
+        frequencies,
+        tuple(int(s) for s in starts),
+        tuple(f"{c} of {config.num_subsamples} subsamples: {line}" for line, c in notes.items()),
+    )
+
+
+def fisher_z_log(values: np.ndarray, config: PcConfig) -> list[tuple[CiQuery, CiOutcome]]:
+    """pc()'s decision log on values, each query asked of gaussian_ci_test on sample_covariance.
+
+    The conditioning sets are capped at n - 4 at level alpha, as pc() caps
+    them.  A failing query raises the CiQueryError pc() raises.
+    """
+    n, p = values.shape
+    cov = sample_covariance(values)
+    search = config
+    reachable = config.max_cond_size if config.max_cond_size is not None else max(p - 2, 0)
+    if config.test.alpha is not None and reachable > n - 4:
+        search = PcConfig(config.test, max_cond_size=n - 4, stable=config.stable)
+    log: list[tuple[CiQuery, CiOutcome]] = []
+    find_skeleton(lambda query: gaussian_ci_test(cov, query, config.test), p, search, log)
+    return log
 
 
 def rolled_edges_of_member(edges, p: int) -> frozenset:

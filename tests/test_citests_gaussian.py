@@ -28,7 +28,7 @@ from tspc.data import DataMatrix
 from tspc.pc import CiQueryError, PcConfig, pc
 from tspc.rng import derive_seed, make_generator
 
-from .oracles import random_dag, residual_partial_corr, sem_covariance
+from .oracles import fisher_z_log, random_dag, residual_partial_corr, sem_covariance
 
 
 class TestCiQuery:
@@ -43,6 +43,18 @@ class TestCiQuery:
     def test_duplicate_conditioners_rejected(self):
         with pytest.raises(ValueError):
             CiQuery(0, 1, (2, 2))
+
+    @pytest.mark.parametrize("args", [
+        (0, 1, (2.7,)), (0.0, 1.5), (0, 1.0), (0, 1, (np.float64(2.0),)),
+    ])
+    def test_non_integer_indices_rejected(self, args):
+        with pytest.raises(TypeError):
+            CiQuery(*args)
+
+    def test_numpy_integers_stored_as_int(self):
+        query = CiQuery(np.int64(0), np.int32(1), (np.intp(2),))
+        assert query == CiQuery(0, 1, (2,))
+        assert [type(v) for v in (query.i, query.j, *query.k)] == [int, int, int]
 
 
 class TestCiOutcome:
@@ -378,6 +390,37 @@ class TestBitForBit:
         sigma[2, 3] = sigma[3, 2] = sigma[2, 2]
         with pytest.raises(CiTestError, match="collinear"):
             partial_correlation(CovMatrix(sigma, n=50), CiQuery(0, 1, (2, 3)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(5, 40), p=st.integers(3, 6),
+           last=st.sampled_from(["normal", "constant", "duplicate", "collinear"]),
+           test=st.sampled_from([GaussianCiConfig(alpha=0.05), GaussianCiConfig(alpha=0.6),
+                                 GaussianCiConfig(gamma=0.2)]),
+           stable=st.booleans())
+    def test_pc_log_is_the_query_by_query_log(self, seed, n, p, last, test, stable):
+        # the level-0 table and the stacked covariance against
+        # gaussian_ci_test on sample_covariance, query by query
+        rng = make_generator(seed)
+        values = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+        if last == "constant":
+            values[:, -1] = 2.5
+        elif last == "duplicate":
+            values[:, -1] = values[:, 0]
+        elif last == "collinear":
+            values[:, -1] = values[:, 0] + values[:, 1]
+        config = PcConfig(test, stable=stable)
+
+        def bits(log):
+            return [(q, o.statistic.hex(), o.threshold.hex()) for q, o in log]
+
+        def logged(search):
+            try:
+                return bits(search())
+            except CiQueryError as exc:
+                return str(exc)
+
+        assert logged(lambda: pc(values, config).decisions) == \
+            logged(lambda: fisher_z_log(values, config))
 
     def test_pc_reports_the_collinear_query(self):
         # Column 3 is column 2 plus a 1e-7 perturbation: no residual variance

@@ -419,21 +419,19 @@ class TestSingleColumnBandwidth:
         columns = rng.normal(size=(20, n))
         columns[3, : int(0.78 * n)] = 0.0
         columns[5] = np.round(columns[5])
-        reg = hsic_module._regularizer(n)
-        want = list(hsic_module._single_factors(columns, reg))
+        want = list(hsic_module._single_factors(columns))
 
         def no_pdist(*args, **kwargs):
             raise AssertionError("pdist called")
 
         monkeypatch.setattr(hsic_module, "pdist", no_pdist)
-        got = list(hsic_module._single_factors(columns, reg))
+        got = list(hsic_module._single_factors(columns))
         assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
         assert all(v.shape[1] > 0 for v in got)
 
 
 def single_factor(column: np.ndarray) -> np.ndarray:
-    reg = hsic_module._regularizer(len(column))
-    (factor,) = hsic_module._single_factors(column[None, :], reg)
+    (factor,) = hsic_module._single_factors(column[None, :])
     return factor
 
 
@@ -469,7 +467,7 @@ class TestSingleColumnFactors:
         at = data.draw(st.integers(0, others))
         batch[at] = column
         alone = single_factor(column)
-        together = list(hsic_module._single_factors(batch, hsic_module._regularizer(n)))
+        together = list(hsic_module._single_factors(batch))
         assert together[at].shape == alone.shape
         assert together[at].tobytes() == alone.tobytes()
 

@@ -596,6 +596,21 @@ class TestEvaluate:
         assert rc == 2
         assert f"bad.json: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload,message", [
+        ('{"p": 3, "directed": [[1, 2]], "undirected": [[2, 1]]}',
+         "pair (1, 2) is both directed and undirected"),
+        ('{"p": 3, "directed": [[1, 1]], "undirected": [[2, 3]]}', "self-loop 1 -> 1 not allowed"),
+        ('{"p": 3, "directed": [[2, 3], [3, 2]], "undirected": [[1, 2]]}',
+         "both orientations present between 2 and 3"),
+    ])
+    def test_graph_errors_name_nodes_one_based(self, tmp_path, capsys, payload, message):
+        # graph files are 1-based, so the nodes an error names are too
+        est = tmp_path / "est.json"
+        est.write_text(payload)
+        rc = main(["evaluate", "--est", str(est), "--truth", str(est)])
+        assert rc == 2
+        assert f"est.json: {message}" in capsys.readouterr().err
+
 
 class TestReproduce:
     def test_zero_reps_is_usage_error(self, tmp_path, capsys):

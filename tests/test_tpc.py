@@ -25,7 +25,7 @@ from tspc.tpc import (
     unroll,
 )
 
-from .oracles import consensus_cpdag_oracle, random_dag
+from .oracles import consensus_cpdag_oracle, random_dag, tpcns_loop
 
 GAUSSIAN = PcConfig(GaussianCiConfig(alpha=0.05))
 
@@ -292,27 +292,31 @@ class TestTpcns:
         assert set(a.graph.edges) == {e for e, f in a.frequencies.items() if f >= low}
 
     def test_normal_quantile_computed_once_per_alpha(self, monkeypatch):
-        # Every query's threshold shares Phi^{-1}(1 - alpha); one search
-        # over many subsamples asks scipy for it once.
+        # Every query's threshold shares Phi^{-1}(1 - alpha); searches over
+        # many subsamples at two sample sizes ask scipy for it once.
         gaussian = importlib.import_module("tspc.citests.gaussian")
         gaussian._upper_quantile.cache_clear()
-        calls = {"ndtri": 0, "gamma": 0}
+        calls = {"ndtri": 0}
+        thresholds = []
         ndtri, gamma = gaussian.ndtri, gaussian.gaussian_gamma
 
         def counting_ndtri(*args, **kwargs):
             calls["ndtri"] += 1
             return ndtri(*args, **kwargs)
 
-        def counting_gamma(*args, **kwargs):
-            calls["gamma"] += 1
-            return gamma(*args, **kwargs)
+        def counting_gamma(alpha, n, cond_size):
+            thresholds.append((n, cond_size))
+            return gamma(alpha, n, cond_size)
 
         monkeypatch.setattr(gaussian, "ndtri", counting_ndtri)
         monkeypatch.setattr(gaussian, "gaussian_gamma", counting_gamma)
-        cfg = TpcnsConfig(window_length=30, num_subsamples=8, pc=GAUSSIAN,
-                          window=WindowConfig(tau=2, r=2), seed=5)
-        tpcns(linvar(derive_seed(100, 7), n=200), cfg)
-        assert calls["gamma"] > 100
+        data = linvar(derive_seed(100, 7), n=200)
+        for window_length in (30, 40):
+            cfg = TpcnsConfig(window_length=window_length, num_subsamples=8, pc=GAUSSIAN,
+                              window=WindowConfig(tau=2, r=2), seed=5)
+            tpcns(data, cfg)
+        assert len(thresholds) > 20
+        assert len(set(thresholds)) >= 4
         assert calls["ndtri"] == 1
 
     def test_deterministic_given_seed(self):
@@ -340,14 +344,17 @@ class TestTpcns:
         )
 
     def test_subsample_diagnostics_counted_in_first_seen_order(self, monkeypatch):
-        tpc_module = importlib.import_module("tspc.tpc")
+        # orient runs once per subsample and its diagnostics are the search's
+        pc_module = importlib.import_module("tspc.pc")
         scripted = iter([("a", "b", "a"), ("b",), ("c", "a")])
-        real_pc = tpc_module.pc
+        real_orient = pc_module.orient
 
-        def scripted_pc(values, config):
-            return replace(real_pc(values, config), diagnostics=next(scripted))
+        def scripted_orient(skeleton, sepsets, diagnostics):
+            pdag = real_orient(skeleton, sepsets, [])
+            diagnostics.extend(next(scripted))
+            return pdag
 
-        monkeypatch.setattr(tpc_module, "pc", scripted_pc)
+        monkeypatch.setattr(pc_module, "orient", scripted_orient)
         cfg = TpcnsConfig(num_subsamples=3, pc=GAUSSIAN, window=WindowConfig(tau=2, r=2))
         res = tpcns(linvar(derive_seed(100, 1)), cfg)
         assert res.diagnostics == (
@@ -358,6 +365,116 @@ class TestTpcns:
         data = linvar(derive_seed(100, 5), n=60)
         with pytest.raises(ValueError, match="exceeds"):
             tpcns(data, self.config(0.4, seed=19))
+
+
+SEARCHES = {
+    "alpha": PcConfig(GaussianCiConfig(alpha=0.2)),
+    "gamma": PcConfig(GaussianCiConfig(gamma=0.3)),
+    "kernel": PcConfig(HsicConfig(gamma=0.03)),
+}
+
+
+def outcome(run, *args):
+    """The run's result, or the type and message of what it raised."""
+    try:
+        return run(*args)
+    except (ValueError, CiQueryError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBatchedSubsamples:
+    """tpcns searches its subsamples as one batch, with the bits of a loop of pc() calls."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10**6),
+        test=st.sampled_from(sorted(SEARCHES)),
+        stable=st.booleans(),
+        max_cond_size=st.sampled_from([None, 0, 1]),
+        window=st.sampled_from([(1, 1), (2, 1), (2, 2)]),
+        window_length=st.integers(4, 30),
+        num_subsamples=st.integers(1, 6),
+        stack_values=st.sampled_from([None, 64]),
+    )
+    def test_same_result_as_one_search_per_subsample(self, seed, test, stable, max_cond_size,
+                                                      window, window_length, num_subsamples,
+                                                      stack_values):
+        # stack_values 64 puts one or two segments in each stacked covariance
+        search = replace(SEARCHES[test], stable=stable, max_cond_size=max_cond_size)
+        cfg = TpcnsConfig(window_length=window_length, num_subsamples=num_subsamples,
+                          freq_cutoff=0.3, pc=search, window=WindowConfig(*window), seed=seed)
+        data = linvar(derive_seed(9900, seed), n=80)
+        with pytest.MonkeyPatch.context() as patch:
+            if stack_values is not None:
+                patch.setattr(importlib.import_module("tspc.citests.gaussian"),
+                              "_STACK_VALUES", stack_values)
+            batched = outcome(tpcns, data, cfg)
+        # a result compares frequencies, starts, diagnostics and graph
+        assert batched == outcome(tpcns_loop, data, cfg)
+
+    def test_short_windows_report_the_cap_as_the_loop_does(self):
+        cfg = TpcnsConfig(window_length=4, num_subsamples=5,
+                          pc=PcConfig(GaussianCiConfig(alpha=0.6)),
+                          window=WindowConfig(tau=2, r=1), seed=3)
+        data = linvar(derive_seed(9901, 0), n=60)
+        batched = tpcns(data, cfg)
+        assert batched.diagnostics and "capped at size 0" in batched.diagnostics[0]
+        assert batched == tpcns_loop(data, cfg)
+
+    @staticmethod
+    def searched_before(monkeypatch, run, data, cfg):
+        """What run raised or returned, and how many subsamples it oriented first."""
+        pc_module = importlib.import_module("tspc.pc")
+        real_orient = pc_module.orient
+        oriented = []
+
+        def counting_orient(*args):
+            oriented.append(1)
+            return real_orient(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pc_module, "orient", counting_orient)
+            return outcome(run, data, cfg), len(oriented)
+
+    @pytest.mark.parametrize("test", ["alpha", "kernel"])
+    def test_constant_column_fails_where_the_loop_fails(self, monkeypatch, test):
+        data = linvar(derive_seed(9902, 0), n=160)
+        cfg = TpcnsConfig(window_length=30, num_subsamples=12, pc=SEARCHES[test],
+                          window=WindowConfig(tau=2, r=1), seed=4)
+        starts = tpcns(data, cfg).starts
+        # column 3 constant from the start of the first subsample that starts
+        # after all before it: that one sees a constant column, they do not
+        first = next(at for at in range(1, len(starts)) if starts[at] > max(starts[:at]))
+        values = data.values.copy()
+        values[starts[first]:, 2] = 1.5
+        batched = self.searched_before(monkeypatch, tpcns, DataMatrix(values), cfg)
+        looped = self.searched_before(monkeypatch, tpcns_loop, DataMatrix(values), cfg)
+        assert batched == looped
+        if test == "alpha":
+            (kind, message), searched = batched
+            assert kind is CiQueryError and "degenerate residual variance" in message
+            assert searched == first
+
+    @pytest.mark.parametrize("test", ["alpha", "kernel"])
+    def test_overflowing_row_fails_at_the_first_subsample_that_reaches_it(self, monkeypatch,
+                                                                          test):
+        # DataMatrix rejects inf itself; 1e300 squares to inf in both tests
+        data = linvar(derive_seed(9903, 0), n=160)
+        cfg = TpcnsConfig(window_length=20, num_subsamples=10, pc=SEARCHES[test],
+                          window=WindowConfig(tau=2, r=2), seed=6)
+        starts = tpcns(data, replace(cfg, pc=PcConfig(GaussianCiConfig(gamma=0.3)))).starts
+        # the first subsample covering unrolled row `row`, which the ones
+        # before it miss: raw rows 2 row and 2 row + 1 feed it alone
+        first, row = next((at, s + 10) for at, s in enumerate(starts)
+                          if at > 0 and all(not t <= s + 10 < t + 20 for t in starts[:at]))
+        values = data.values.copy()
+        values[2 * row, 1] = 1e300
+        batched = self.searched_before(monkeypatch, tpcns, DataMatrix(values), cfg)
+        looped = self.searched_before(monkeypatch, tpcns_loop, DataMatrix(values), cfg)
+        assert batched == looped
+        (kind, message), searched = batched
+        assert kind is ValueError and "not finite in column(s) 2" in message
+        assert searched == first
 
 
 class TestFrequenciesCsv:
