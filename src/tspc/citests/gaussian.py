@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterator, Sequence
+import sys
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +31,15 @@ __all__ = [
     "gaussian_gamma",
     "gaussian_ci_test",
     "gaussian_ci_tests",
+    "FisherZAnswerer",
 ]
 
 # Cholesky pivots below this fraction of the trace mean the conditioning
 # block is numerically rank-deficient.
 _PIVOT_TOL = 1e-12
+
+# Below this a product of variances has lost bits to underflow.
+_NORMAL_MIN = sys.float_info.min
 
 # sample_covariances stacks at most this many values (512 KB) per chunk.
 _STACK_VALUES = 1 << 16
@@ -165,14 +170,27 @@ def partial_correlation(cov: CovMatrix, query: CiQuery) -> float:
             raise CiTestError("conditioning set collinear")
         # S22^{-1} S21 through the existing factor, no explicit inverse.
         w, _ = lapack.dpotrs(chol, s12.T, lower=1)
-        cond = sub[:2, :2] - s12 @ w
-        var_i, var_j, cov_ij = cond[0, 0], cond[1, 1], cond[0, 1]
+        (var_i, cov_ij), (_, var_j) = (sub[:2, :2] - s12 @ w).tolist()
     else:
         i, j = query.i, query.j
-        var_i, var_j, cov_ij = sigma[i, i], sigma[j, j], sigma[i, j]
+        var_i, var_j, cov_ij = sigma.item(i, i), sigma.item(j, j), sigma.item(i, j)
     if var_i <= 0.0 or var_j <= 0.0:
         raise CiTestError("degenerate residual variance")
-    return float(cov_ij / math.sqrt(var_i * var_j))
+    return _correlation(cov_ij, var_i, var_j)
+
+
+def _correlation(cov_ij: float, var_i: float, var_j: float) -> float:
+    """cov_ij / sqrt(var_i var_j) for positive variances, at any scale of the data.
+
+    The product of the variances is taken first, unless it is not a finite
+    normal number (it overflows or underflows on data in large or small
+    units); then the square roots are, so rescaling the data cannot turn a
+    correlation into 0 or inf.
+    """
+    product = var_i * var_j
+    if _NORMAL_MIN <= product < math.inf:
+        return cov_ij / math.sqrt(product)
+    return cov_ij / (math.sqrt(var_i) * math.sqrt(var_j))
 
 
 def fisher_z(rho: float) -> float:
@@ -180,6 +198,10 @@ def fisher_z(rho: float) -> float:
     if not -1.0 < rho < 1.0:
         raise ValueError(f"correlation must satisfy |rho| < 1, got {rho}")
     return math.atanh(rho)
+
+
+def _statistic(rho: float) -> float:
+    return math.inf if abs(rho) >= 1.0 else fisher_z(rho)
 
 
 @functools.lru_cache(maxsize=None)
@@ -211,11 +233,7 @@ def gaussian_ci_test(cov: CovMatrix, query: CiQuery, config: GaussianCiConfig) -
     data) maps to an infinite statistic, so the pair is declared dependent
     no matter the threshold.
     """
-    rho = partial_correlation(cov, query)
-    if abs(rho) >= 1.0:
-        statistic = math.inf
-    else:
-        statistic = fisher_z(rho)
+    statistic = _statistic(partial_correlation(cov, query))
     if config.gamma is not None:
         threshold = config.gamma
     else:
@@ -223,42 +241,52 @@ def gaussian_ci_test(cov: CovMatrix, query: CiQuery, config: GaussianCiConfig) -
     return CiOutcome(statistic, threshold)
 
 
-def gaussian_ci_tests(values: np.ndarray, starts: Sequence[int], length: int,
-                      config: GaussianCiConfig) -> Iterator[Callable[[CiQuery], CiOutcome]]:
-    """gaussian_ci_test on the sample covariance of each segment values[s:s + length].
+@dataclass(frozen=True, slots=True)
+class FisherZAnswerer:
+    """gaussian_ci_test on one covariance, as a CI answerer for the search.
 
-    The covariances come from sample_covariances, one at a time.  A query
-    with an empty conditioning set reads its correlation
-    sigma_ij / sqrt(sigma_ii sigma_jj) from a table built with the
-    covariance: partial_correlation's operations, elementwise, so its bits.
-    A zero variance still fails that query, as partial_correlation does.
-    Larger conditioning sets go through gaussian_ci_test.
+    level0, unless a variance is not positive, is the (table, threshold) of
+    every query with an empty conditioning set: table[i][j] == table[j][i]
+    is the statistic gaussian_ci_test returns for (i, j | {}), from the same
+    operations and so with its bits.  find_skeleton decides level 0 from it
+    in one step instead of asking the queries one at a time.
+    """
+
+    cov: CovMatrix
+    config: GaussianCiConfig
+    level0: tuple[list[list[float]], float] | None
+
+    def __call__(self, query: CiQuery) -> CiOutcome:
+        return gaussian_ci_test(self.cov, query, self.config)
+
+
+def gaussian_ci_tests(values: np.ndarray, starts: Sequence[int], length: int,
+                      config: GaussianCiConfig) -> Iterator[FisherZAnswerer]:
+    """The answerer of each segment values[s:s + length], on its sample covariance.
+
+    The covariances come from sample_covariances, one at a time, and each
+    answerer carries its level-0 table, with the one threshold of an empty
+    conditioning set.  A segment with a variance that is not positive has
+    no table: its search asks the queries one at a time and fails at the
+    first query on that column, as it fails alone.
     """
     if config.gamma is not None:
         threshold = config.gamma
     else:
         threshold = gaussian_gamma(config.alpha, length, 0)
     for cov in sample_covariances(values, starts, length):
-        yield _answerer(cov, config, threshold)
+        sigma = cov.sigma.tolist()
+        level0 = None
+        if all(sigma[v][v] > 0.0 for v in range(cov.p)):
+            level0 = (_level0_table(sigma), threshold)
+        yield FisherZAnswerer(cov, config, level0)
 
 
-def _answerer(cov: CovMatrix, config: GaussianCiConfig,
-              threshold: float) -> Callable[[CiQuery], CiOutcome]:
-    """One segment's answerer; threshold is the one for an empty conditioning set."""
-    p = cov.p
-    variance = cov.sigma.diagonal()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        table = (cov.sigma / np.sqrt(np.multiply.outer(variance, variance))).tolist()
-    degenerate = (variance <= 0.0).tolist()
-
-    def ci(query: CiQuery) -> CiOutcome:
-        i, j = query.i, query.j
-        # partial_correlation rejects a variable out of range.
-        if query.k or not (0 <= i < p and 0 <= j < p):
-            return gaussian_ci_test(cov, query, config)
-        if degenerate[i] or degenerate[j]:
-            raise CiTestError("degenerate residual variance")
-        rho = table[i][j]
-        return CiOutcome(math.inf if abs(rho) >= 1.0 else fisher_z(rho), threshold)
-
-    return ci
+def _level0_table(sigma: list[list[float]]) -> list[list[float]]:
+    p = len(sigma)
+    table = [[0.0] * p for _ in range(p)]
+    for i in range(p):
+        for j in range(i + 1, p):
+            rho = _correlation(sigma[i][j], sigma[i][i], sigma[j][j])
+            table[i][j] = table[j][i] = _statistic(rho)
+    return table

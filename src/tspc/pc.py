@@ -5,9 +5,12 @@ l it visits, in index order, the ordered adjacent pairs (i, j) whose
 candidate pool adj(i) minus j holds at least l nodes, and tests i against j
 given every size-l subset of that pool in lexicographic order, deleting the
 edge and recording the first separating set found; the decision log holds
-each test as its (query, outcome) pair.  The search stops once no pair has a
-pool larger than the current size (or a configured cap is hit); the
-surviving edges form an arrowless ``Pdag``.  Orientation reads the
+each test as its (query, outcome) pair.  Level 0 needs no order: an edge
+goes exactly when its one empty-set test says independent, so an answerer
+that carries the table of those statistics (Fisher-z's does) has the level
+decided in one step, with the log the loop would write.  The search stops
+once no pair has a pool larger than the current size (or a configured cap
+is hit); the surviving edges form an arrowless ``Pdag``.  Orientation reads the
 separating-set table (one entry per non-adjacent pair): each common
 neighbour outside an entry's set becomes the tip of two arrowheads, and
 ``graphs.meek_closure`` closes the rest with Meek's rules 1-3.  On exact CI
@@ -20,17 +23,20 @@ a diagnostic instead of silently picking a side.
 pc_segments searches many row segments of one matrix, as TPC-NS does with
 its subsamples, and pc() is its batch of one.  The CI answerers of all
 segments are built as one batch: for Fisher-z one stacked covariance pass
-and a table of level-0 correlations per segment, for the kernel test one
+and a table of level-0 statistics per segment, for the kernel test one
 stream of single-column factors.  Each segment is then searched and
-oriented alone, bit for bit as if it were searched alone.
+oriented alone, bit for bit as if it were searched alone.  Its decision
+log (DecisionLog) builds the pairs of a table level only when it is read,
+so a caller that never reads it, as TPC-NS does not, never builds them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import combinations
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import chain, combinations
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -49,6 +55,7 @@ from .graphs import Dag, Pdag, d_separated, meek_closure
 
 __all__ = [
     "CiQueryError",
+    "DecisionLog",
     "PcConfig",
     "PcResult",
     "SepSets",
@@ -113,11 +120,63 @@ class PcConfig:
             raise ValueError(f"max_cond_size must be nonnegative, got {self.max_cond_size}")
 
 
+Decision = tuple[CiQuery, CiOutcome]
+
+
+class DecisionLog(Sequence):
+    """A search's (query, outcome) pairs, in the order the search decided them.
+
+    It reads as the tuple of its pairs: len, indexing, iteration and ==
+    (against another log or a tuple) behave as on that tuple.  A block of
+    pairs given to extend is kept as it is and drawn when the log is first
+    read, so a log that is never read never builds them.
+    """
+
+    __slots__ = ("_blocks", "_tail")
+
+    def __init__(self) -> None:
+        self._blocks: list[Iterable[Decision]] = []
+        self._tail: list[Decision] | None = None  # the last block, if append made it
+
+    def append(self, pair: Decision) -> None:
+        if self._tail is None:
+            self._tail = []
+            self._blocks.append(self._tail)
+        self._tail.append(pair)
+
+    def extend(self, pairs: Iterable[Decision]) -> None:
+        self._blocks.append(pairs)
+        self._tail = None
+
+    def _pairs(self) -> tuple[Decision, ...]:
+        if len(self._blocks) != 1 or type(self._blocks[0]) is not tuple:
+            self._blocks = [tuple(chain.from_iterable(self._blocks))]
+            self._tail = None
+        return self._blocks[0]
+
+    def __len__(self) -> int:
+        return len(self._pairs())
+
+    def __getitem__(self, index):
+        return self._pairs()[index]
+
+    def __iter__(self) -> Iterator[Decision]:
+        return iter(self._pairs())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, DecisionLog):
+            other = other._pairs()
+        return self._pairs() == other
+
+    def __repr__(self) -> str:
+        return f"DecisionLog({self._pairs()!r})"
+
+
 @dataclass(frozen=True)
 class PcResult:
     pdag: Pdag
     sepsets: SepSets
-    decisions: tuple[tuple[CiQuery, CiOutcome], ...]
+    decisions: DecisionLog
     diagnostics: tuple[str, ...]
 
 
@@ -125,7 +184,7 @@ def find_skeleton(
     ci: Callable[[CiQuery], CiOutcome],
     p: int,
     config: PcConfig = PcConfig(),
-    log: list[tuple[CiQuery, CiOutcome]] | None = None,
+    log: list[Decision] | DecisionLog | None = None,
 ) -> tuple[Pdag, SepSets]:
     """Level-wise edge removal starting from the complete graph.
 
@@ -135,6 +194,13 @@ def find_skeleton(
     exact query sequence is a pure function of p, the configuration, and the
     CI answers, which makes decision logs replayable.  log, when given, gets
     each query passed to ci and the outcome ci returned, as a pair.
+
+    An answerer may carry level0, a (table, threshold) with table[i][j] ==
+    table[j][i] the statistic ci gives (i, j | {}) against that threshold,
+    as gaussian_ci_tests' answerers do.  Level 0 is then decided from the
+    table in one step, and log is extended with a generator of the pairs
+    the loop would have logged: row i asks every j > i, and every j < i
+    whose own test of the pair read dependent.
     """
     if p < 1:
         raise ValueError(f"need at least one node, got p={p}")
@@ -142,36 +208,53 @@ def find_skeleton(
 
     adj: dict[int, set[int]] = {v: set(range(p)) - {v} for v in range(p)}
     seps: SepSets = {}
+    level0 = getattr(ci, "level0", None)
 
-    level = 0
-    while True:
-        pools = {v: frozenset(adj[v]) for v in range(p)} if config.stable else None
-        for i in range(p):
-            # Only the edge (i, j) itself leaves adj[i] during j's turn.
-            for j in sorted(adj[i]):
-                base = (pools[i] if pools is not None else adj[i]) - {j}
-                if len(base) < level:
-                    continue
-                for k in combinations(sorted(base), level) if level else ((),):
-                    query = CiQuery(i, j, k)
-                    try:
-                        outcome = ci(query)
-                    except CiTestError as exc:
-                        raise CiQueryError(query, exc) from exc
-                    if log is not None:
-                        log.append((query, outcome))
-                    if outcome.independent:
+    for level in range(max_cond + 1):
+        if level == 0 and level0 is not None:
+            table, threshold = level0
+            for i in range(p):
+                for j in range(i + 1, p):
+                    if abs(table[i][j]) <= threshold:
                         adj[i].discard(j)
                         adj[j].discard(i)
-                        seps[sepset_key(i, j)] = k
-                        break
-        done = all(len(adj[v]) - 1 <= level for v in range(p) if adj[v])
-        if done or level >= max_cond:
+                        seps[(i, j)] = ()
+            if log is not None:
+                log.extend(_table_log(table, threshold))
+        else:
+            pools = {v: frozenset(adj[v]) for v in range(p)} if config.stable else None
+            for i in range(p):
+                # Only the edge (i, j) itself leaves adj[i] during j's turn.
+                for j in sorted(adj[i]):
+                    base = (pools[i] if pools is not None else adj[i]) - {j}
+                    if len(base) < level:
+                        continue
+                    for k in combinations(sorted(base), level) if level else ((),):
+                        query = CiQuery(i, j, k)
+                        try:
+                            outcome = ci(query)
+                        except CiTestError as exc:
+                            raise CiQueryError(query, exc) from exc
+                        if log is not None:
+                            log.append((query, outcome))
+                        if outcome.independent:
+                            adj[i].discard(j)
+                            adj[j].discard(i)
+                            seps[sepset_key(i, j)] = k
+                            break
+        if all(len(adj[v]) - 1 <= level for v in range(p) if adj[v]):
             break
-        level += 1
 
     edges = frozenset((i, j) for i in range(p) for j in adj[i] if i < j)
     return Pdag(p, undirected=edges), seps
+
+
+def _table_log(table: list[list[float]], threshold: float) -> Iterator[Decision]:
+    """The level-0 pairs of a table, in the order the loop asks them."""
+    for i, row in enumerate(table):
+        for j, statistic in enumerate(row):
+            if j > i or (j < i and not abs(statistic) <= threshold):
+                yield CiQuery(i, j), CiOutcome(statistic, threshold)
 
 
 def orient(
@@ -311,7 +394,7 @@ def pc_segments(
         if reachable > n - 4:
             search = replace(config, max_cond_size=n - 4)
     for ci in _answerers(values, starts, length, config.test):
-        log: list[tuple[CiQuery, CiOutcome]] = []
+        log = DecisionLog()
         skeleton, seps = find_skeleton(ci, p, search, log)
         diagnostics: list[str] = []
         if search is not config:
@@ -323,7 +406,7 @@ def pc_segments(
                     f"at level alpha needs n - |k| - 3 > 0 and the sample has {n} rows"
                 )
         pdag = orient(skeleton, seps, diagnostics)
-        yield PcResult(pdag, seps, tuple(log), tuple(diagnostics))
+        yield PcResult(pdag, seps, log, tuple(diagnostics))
 
 
 def decisions_to_csv(decisions: Iterable[tuple[CiQuery, CiOutcome]]) -> str:

@@ -8,6 +8,7 @@ Slow on purpose; only used at desk scale.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -15,10 +16,12 @@ from scipy import linalg as sla
 from scipy.linalg import lapack
 from scipy.spatial.distance import pdist
 
-from tspc.citests import CiOutcome, CiQuery, gaussian_ci_test, hsic, sample_covariance
+from tspc.citests import (
+    CiOutcome, CiQuery, GaussianCiConfig, gaussian_ci_test, hsic, sample_covariance,
+)
 from tspc.data import DataMatrix
 from tspc.graphs import Dag, Pdag, RolledGraph, roll
-from tspc.pc import PcConfig, find_skeleton, oracle_ci, orient, pc
+from tspc.pc import PcConfig, PcResult, find_skeleton, oracle_ci, orient, pc
 from tspc.rng import make_generator
 from tspc.tpc import TpcnsConfig, TpcnsResult, forward_time, unroll, unrolled_rows
 
@@ -134,10 +137,12 @@ def population_pc(g: Dag, stable: bool = False) -> Pdag:
 
 
 def tpcns_loop(data: DataMatrix, config: TpcnsConfig) -> TpcnsResult:
-    """tpcns as a loop of pc() calls, one subsample searched at a time.
+    """tpcns as a loop of searches, one subsample at a time.
 
-    The batched tpcns must give exactly this: the same frequencies, starts,
-    diagnostics and graph, and the same error from the same subsample.
+    Each subsample goes through pc(), or through fisher_z_pc for Fisher-z,
+    so no level-0 table is used.  The batched tpcns must give exactly this:
+    the same frequencies, starts, diagnostics and graph, and the same error
+    from the same subsample.
     """
     p = data.p
     unrolled_rows(data.n, config.window, config.window_length)
@@ -146,8 +151,9 @@ def tpcns_loop(data: DataMatrix, config: TpcnsConfig) -> TpcnsResult:
         0, chi.n - config.window_length + 1, size=config.num_subsamples)
     counts: dict[tuple[int, int], int] = {}
     notes: dict[str, int] = {}
+    search = fisher_z_pc if isinstance(config.pc.test, GaussianCiConfig) else pc
     for start in starts:
-        result = pc(chi.values[start:start + config.window_length], config.pc)
+        result = search(chi.values[start:start + config.window_length], config.pc)
         for edge in roll(forward_time(result.pdag, p), p, config.window.tau).edges:
             counts[edge] = counts.get(edge, 0) + 1
         for line in dict.fromkeys(result.diagnostics):
@@ -161,11 +167,12 @@ def tpcns_loop(data: DataMatrix, config: TpcnsConfig) -> TpcnsResult:
     )
 
 
-def fisher_z_log(values: np.ndarray, config: PcConfig) -> list[tuple[CiQuery, CiOutcome]]:
-    """pc()'s decision log on values, each query asked of gaussian_ci_test on sample_covariance.
+def fisher_z_pc(values: np.ndarray, config: PcConfig) -> PcResult:
+    """pc() on values, each query asked of gaussian_ci_test on sample_covariance in turn.
 
-    The conditioning sets are capped at n - 4 at level alpha, as pc() caps
-    them.  A failing query raises the CiQueryError pc() raises.
+    The conditioning sets are capped at n - 4 at level alpha, with the
+    diagnostic pc() writes when the cap binds.  A failing query raises the
+    CiQueryError pc() raises.
     """
     n, p = values.shape
     cov = sample_covariance(values)
@@ -174,8 +181,22 @@ def fisher_z_log(values: np.ndarray, config: PcConfig) -> list[tuple[CiQuery, Ci
     if config.test.alpha is not None and reachable > n - 4:
         search = PcConfig(config.test, max_cond_size=n - 4, stable=config.stable)
     log: list[tuple[CiQuery, CiOutcome]] = []
-    find_skeleton(lambda query: gaussian_ci_test(cov, query, config.test), p, search, log)
-    return log
+    skeleton, seps = find_skeleton(
+        lambda query: gaussian_ci_test(cov, query, config.test), p, search, log)
+    diagnostics = []
+    degrees = Counter(v for edge in skeleton.undirected for v in edge)
+    if search is not config and max(degrees.values(), default=0) - 1 > n - 4:
+        diagnostics.append(
+            f"conditioning sets capped at size {n - 4}: the Fisher-z threshold "
+            f"at level alpha needs n - |k| - 3 > 0 and the sample has {n} rows"
+        )
+    pdag = orient(skeleton, seps, diagnostics)
+    return PcResult(pdag, seps, tuple(log), tuple(diagnostics))
+
+
+def fisher_z_log(values: np.ndarray, config: PcConfig) -> tuple[tuple[CiQuery, CiOutcome], ...]:
+    """pc()'s decision log on values, from fisher_z_pc: one query at a time."""
+    return fisher_z_pc(values, config).decisions
 
 
 def rolled_edges_of_member(edges, p: int) -> frozenset:

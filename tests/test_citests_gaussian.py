@@ -171,6 +171,34 @@ class TestPartialCorrelation:
         assert got == pytest.approx(want, abs=1e-10)
 
 
+class TestScaleInvariance:
+    @pytest.mark.parametrize("scale", [1e100, 1e-100])
+    def test_rescaled_data_give_the_same_search(self, scale):
+        # a product of two variances overflows at 1e100 and underflows at
+        # 1e-100, where it read every pair independent, or dependent with a
+        # divide-by-zero warning (an error under the suite's filter)
+        rng = make_generator(9307)
+        x, noise = rng.normal(size=(2, 200))
+        values = np.column_stack([x, x + 0.1 * noise, noise, x + rng.normal(size=200)])
+        config = PcConfig(GaussianCiConfig(alpha=0.05))
+        base, scaled = pc(values, config), pc(values * scale, config)
+        assert scaled.pdag == base.pdag and base.pdag.undirected | base.pdag.directed
+        assert max(len(q.k) for q, _ in base.decisions) >= 1
+        assert [(q, o.independent) for q, o in scaled.decisions] == \
+            [(q, o.independent) for q, o in base.decisions]
+        for (_, got), (_, want) in zip(scaled.decisions, base.decisions):
+            assert math.isclose(got.statistic, want.statistic, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-100])
+    def test_partial_correlation_at_extreme_scales(self, scale):
+        values = make_generator(9308).normal(size=(30, 4))
+        cov, scaled = sample_covariance(values), sample_covariance(values * scale)
+        for k in ((), (2,), (2, 3)):
+            query = CiQuery(0, 1, k)
+            assert math.isclose(partial_correlation(scaled, query),
+                                partial_correlation(cov, query), rel_tol=1e-9)
+
+
 class TestFisherZ:
     def test_zero(self):
         assert fisher_z(0.0) == 0.0
@@ -391,24 +419,29 @@ class TestBitForBit:
         with pytest.raises(CiTestError, match="collinear"):
             partial_correlation(CovMatrix(sigma, n=50), CiQuery(0, 1, (2, 3)))
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(5, 40), p=st.integers(3, 6),
-           last=st.sampled_from(["normal", "constant", "duplicate", "collinear"]),
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(5, 40), p=st.integers(1, 6),
+           kind=st.sampled_from(["normal", "constant", "duplicate", "collinear"]),
+           at=st.sampled_from(["first", "middle", "last"]),
            test=st.sampled_from([GaussianCiConfig(alpha=0.05), GaussianCiConfig(alpha=0.6),
                                  GaussianCiConfig(gamma=0.2)]),
-           stable=st.booleans())
-    def test_pc_log_is_the_query_by_query_log(self, seed, n, p, last, test, stable):
+           stable=st.booleans(), max_cond_size=st.sampled_from([None, 0, 1]))
+    def test_pc_log_is_the_query_by_query_log(self, seed, n, p, kind, at, test, stable,
+                                              max_cond_size):
         # the level-0 table and the stacked covariance against
-        # gaussian_ci_test on sample_covariance, query by query
+        # gaussian_ci_test on sample_covariance, query by query; column
+        # `at` is constant, a copy of another column, or the sum of two
         rng = make_generator(seed)
         values = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
-        if last == "constant":
-            values[:, -1] = 2.5
-        elif last == "duplicate":
-            values[:, -1] = values[:, 0]
-        elif last == "collinear":
-            values[:, -1] = values[:, 0] + values[:, 1]
-        config = PcConfig(test, stable=stable)
+        col = {"first": 0, "middle": p // 2, "last": p - 1}[at]
+        others = [v for v in range(p) if v != col]
+        if kind == "constant":
+            values[:, col] = 2.5
+        elif kind == "duplicate" and others:
+            values[:, col] = values[:, others[0]]
+        elif kind == "collinear" and len(others) > 1:
+            values[:, col] = values[:, others[0]] + values[:, others[1]]
+        config = PcConfig(test, max_cond_size=max_cond_size, stable=stable)
 
         def bits(log):
             return [(q, o.statistic.hex(), o.threshold.hex()) for q, o in log]
@@ -419,8 +452,20 @@ class TestBitForBit:
             except CiQueryError as exc:
                 return str(exc)
 
-        assert logged(lambda: pc(values, config).decisions) == \
-            logged(lambda: fisher_z_log(values, config))
+        got = logged(lambda: pc(values, config).decisions)
+        assert got == logged(lambda: fisher_z_log(values, config))
+        if kind == "constant" and p > 1:
+            first = 2 if col == 0 else col + 1
+            assert got.startswith(f"CI test failed for query (1, {first} | {{}}): degenerate")
+
+    def test_duplicate_column_is_an_infinite_statistic(self):
+        # |rho| = 1 exactly: dependent whatever the threshold, in both orders
+        values = make_generator(9306).normal(size=(30, 3))
+        values[:, 2] = values[:, 0]
+        decisions = pc(values, PcConfig(GaussianCiConfig(gamma=1e6))).decisions
+        assert [(q.i, q.j, o.statistic) for q, o in decisions if q.k == ()
+                and {q.i, q.j} == {0, 2}] == [(0, 2, math.inf), (2, 0, math.inf)]
+        assert decisions == fisher_z_log(values, PcConfig(GaussianCiConfig(gamma=1e6)))
 
     def test_pc_reports_the_collinear_query(self):
         # Column 3 is column 2 plus a 1e-7 perturbation: no residual variance

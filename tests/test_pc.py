@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tspc.citests import CiOutcome, CiQuery, CiTestError, GaussianCiConfig, HsicConfig
+from tspc.citests import (
+    CiOutcome, CiQuery, CiTestError, GaussianCiConfig, HsicConfig, gaussian_ci_tests,
+)
 from tspc.graphs import Dag, Pdag, d_separated, roll
 from tspc.pc import (
     CiQueryError,
@@ -23,6 +26,7 @@ from tspc.pc import (
 )
 from tspc.rng import derive_seed, make_generator
 from tspc.simulate import SimConfig, generate
+from tspc.tpc import TpcnsConfig, tpcns
 
 from .oracles import consensus_cpdag_oracle, population_pc, random_dag, sem_covariance
 
@@ -376,3 +380,36 @@ class TestDecisionCsv:
         assert lines[0] == "i,j,k,statistic,threshold,independent"
         assert lines[1] == "1,3,2,0.25,0.5,true"
         assert lines[2] == "2,4,,1.0,0.5,false"
+
+
+class TestDecisionLog:
+    def test_reads_as_the_pairs_find_skeleton_logs_into_a_list(self):
+        # pc() keeps level 0 as one table block; find_skeleton on the same
+        # answerer, given a list, writes every pair out
+        values = make_generator(9310).normal(size=(40, 5))
+        values[:, 4] += values[:, 0] + values[:, 1]
+        config = PcConfig(GaussianCiConfig(alpha=0.05))
+        decisions = pc(values, config).decisions
+        pairs: list = []
+        find_skeleton(next(gaussian_ci_tests(values, (0,), 40, config.test)), 5, config, pairs)
+        assert max(len(q.k) for q, _ in pairs) >= 1
+        assert decisions == tuple(pairs) and tuple(pairs) == decisions
+        assert len(decisions) == len(pairs)
+        assert (decisions[0], decisions[-1], decisions[2:5]) == (pairs[0], pairs[-1],
+                                                                 tuple(pairs[2:5]))
+        assert list(decisions) == pairs
+        assert decisions_to_csv(decisions) == decisions_to_csv(pairs)
+
+    def test_an_unread_log_builds_no_level_0_queries(self, monkeypatch):
+        # a gamma no statistic reaches removes every edge at level 0, so the
+        # only queries are level-0 ones, built when a log is read
+        pc_module = importlib.import_module("tspc.pc")
+        built = []
+        real = pc_module.CiQuery
+        monkeypatch.setattr(pc_module, "CiQuery", lambda *args: built.append(args) or real(*args))
+        config = PcConfig(GaussianCiConfig(gamma=10.0))
+        data = generate(SimConfig(paradigm="LinearGaussianVAR", eta=1.0, n=200, seed=3))
+        tpcns(data, TpcnsConfig(window_length=30, num_subsamples=5, pc=config))
+        result = pc(data, config)
+        assert built == [] and result.pdag.undirected == frozenset()
+        assert len(result.decisions) == len(built) == 6

@@ -25,6 +25,7 @@ from tspc.tpc import (
     unroll,
 )
 
+from . import oracles
 from .oracles import consensus_cpdag_oracle, random_dag, tpcns_loop
 
 GAUSSIAN = PcConfig(GaussianCiConfig(alpha=0.05))
@@ -434,25 +435,29 @@ class TestBatchedSubsamples:
 
         with monkeypatch.context() as patch:
             patch.setattr(pc_module, "orient", counting_orient)
+            patch.setattr(oracles, "orient", counting_orient)
             return outcome(run, data, cfg), len(oriented)
 
-    @pytest.mark.parametrize("test", ["alpha", "kernel"])
-    def test_constant_column_fails_where_the_loop_fails(self, monkeypatch, test):
+    @pytest.mark.parametrize("test", ["alpha", "gamma", "kernel"])
+    @pytest.mark.parametrize("column", [0, 2, 3])
+    def test_constant_column_fails_where_the_loop_fails(self, monkeypatch, test, column):
         data = linvar(derive_seed(9902, 0), n=160)
         cfg = TpcnsConfig(window_length=30, num_subsamples=12, pc=SEARCHES[test],
                           window=WindowConfig(tau=2, r=1), seed=4)
         starts = tpcns(data, cfg).starts
-        # column 3 constant from the start of the first subsample that starts
-        # after all before it: that one sees a constant column, they do not
+        # the column constant from the start of the first subsample that
+        # starts after all before it: that one sees a constant column, they
+        # do not; unrolled at tau 2, columns 1 and 5, 3 and 7, or 4 and 8 (last)
         first = next(at for at in range(1, len(starts)) if starts[at] > max(starts[:at]))
         values = data.values.copy()
-        values[starts[first]:, 2] = 1.5
+        values[starts[first]:, column] = 1.5
         batched = self.searched_before(monkeypatch, tpcns, DataMatrix(values), cfg)
         looped = self.searched_before(monkeypatch, tpcns_loop, DataMatrix(values), cfg)
         assert batched == looped
-        if test == "alpha":
+        if test != "kernel":
             (kind, message), searched = batched
             assert kind is CiQueryError and "degenerate residual variance" in message
+            assert f"(1, {column + 1 if column else 2} | {{}})" in message
             assert searched == first
 
     @pytest.mark.parametrize("test", ["alpha", "kernel"])
