@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +31,8 @@ __all__ = [
     "gaussian_gamma",
     "gaussian_ci_test",
     "gaussian_ci_tests",
-    "FisherZAnswerer",
+    "FISHER_Z_MIN_ROWS",
+    "Level0",
 ]
 
 # Cholesky pivots below this fraction of the trace mean the conditioning
@@ -40,6 +41,14 @@ _PIVOT_TOL = 1e-12
 
 # Below this a product of variances has lost bits to underflow.
 _NORMAL_MIN = sys.float_info.min
+
+# The alpha-mode threshold needs n - |k| - 3 > 0: a sample needs this many
+# rows for the empty conditioning set, and one more per conditioning variable.
+FISHER_Z_MIN_ROWS = 4
+
+# A level-0 table and its threshold: table[i][j] == table[j][i] is the
+# statistic of (i, j | {}), and the threshold is that of an empty set.
+Level0 = tuple[list[list[float]], float]
 
 # sample_covariances stacks at most this many values (512 KB) per chunk.
 _STACK_VALUES = 1 << 16
@@ -241,34 +250,17 @@ def gaussian_ci_test(cov: CovMatrix, query: CiQuery, config: GaussianCiConfig) -
     return CiOutcome(statistic, threshold)
 
 
-@dataclass(frozen=True, slots=True)
-class FisherZAnswerer:
-    """gaussian_ci_test on one covariance, as a CI answerer for the search.
-
-    level0, unless a variance is not positive, is the (table, threshold) of
-    every query with an empty conditioning set: table[i][j] == table[j][i]
-    is the statistic gaussian_ci_test returns for (i, j | {}), from the same
-    operations and so with its bits.  find_skeleton decides level 0 from it
-    in one step instead of asking the queries one at a time.
-    """
-
-    cov: CovMatrix
-    config: GaussianCiConfig
-    level0: tuple[list[list[float]], float] | None
-
-    def __call__(self, query: CiQuery) -> CiOutcome:
-        return gaussian_ci_test(self.cov, query, self.config)
-
-
 def gaussian_ci_tests(values: np.ndarray, starts: Sequence[int], length: int,
-                      config: GaussianCiConfig) -> Iterator[FisherZAnswerer]:
-    """The answerer of each segment values[s:s + length], on its sample covariance.
+                      config: GaussianCiConfig
+                      ) -> Iterator[tuple[Callable[[CiQuery], CiOutcome], Level0 | None]]:
+    """The (answerer, level0) of each segment values[s:s + length].
 
-    The covariances come from sample_covariances, one at a time, and each
-    answerer carries its level-0 table, with the one threshold of an empty
-    conditioning set.  A segment with a variance that is not positive has
-    no table: its search asks the queries one at a time and fails at the
-    first query on that column, as it fails alone.
+    The answerer is gaussian_ci_test bound to the segment's covariance, from
+    sample_covariances, one at a time.  level0 is the table of every query
+    with an empty conditioning set, each statistic from the operations of
+    gaussian_ci_test and so with its bits.  A segment with a variance that
+    is not positive has level0 None: its search asks the queries one at a
+    time and fails at the first query on that column, as it fails alone.
     """
     if config.gamma is not None:
         threshold = config.gamma
@@ -279,7 +271,7 @@ def gaussian_ci_tests(values: np.ndarray, starts: Sequence[int], length: int,
         level0 = None
         if all(sigma[v][v] > 0.0 for v in range(cov.p)):
             level0 = (_level0_table(sigma), threshold)
-        yield FisherZAnswerer(cov, config, level0)
+        yield functools.partial(gaussian_ci_test, cov, config=config), level0
 
 
 def _level0_table(sigma: list[list[float]]) -> list[list[float]]:

@@ -26,6 +26,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .citests import BootstrapConfig, GaussianCiConfig, HsicConfig, decoupled_pair_gamma
+from .citests.gaussian import FISHER_Z_MIN_ROWS
 from .data import DataMatrix, ingest_csv, write_csv, write_text_atomic
 from .graphs import Dag, Pdag, RolledGraph, graph_from_json, roll, to_dot, to_json
 from .pc import PcConfig, decisions_to_csv
@@ -337,9 +338,9 @@ def _run_discover(args: argparse.Namespace) -> None:
         data = ingest_csv(args.input)
     except (FileNotFoundError, ValueError) as exc:
         raise CliError(str(exc)) from exc
-    # Bad subsample settings and a window the data cannot fill are usage
-    # errors for every test, found before a kernel calibration runs or any
-    # output is written.
+    # Bad subsample settings, a window the data cannot fill and too few rows
+    # for Fisher-z at level alpha are usage errors, found before a kernel
+    # calibration runs or any output is written.
     try:
         window = (WindowConfig(tau=1, r=1) if args.method == "pc"
                   else WindowConfig(tau=args.tau, r=args.stride))
@@ -351,9 +352,14 @@ def _run_discover(args: argparse.Namespace) -> None:
                 window=window,
                 seed=derive_seed(args.seed, STREAM_SUBSAMPLE),
             )
-        unrolled_rows(data.n, window, args.L if args.method == "tpcns" else None)
+        rows = unrolled_rows(data.n, window, args.L if args.method == "tpcns" else None)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    searched = args.L if args.method == "tpcns" else rows
+    if args.test == "gaussian" and args.gamma is None and searched < FISHER_Z_MIN_ROWS:
+        got = f"--L {args.L}" if args.method == "tpcns" else f"{rows} rows to search"
+        raise CliError(f"the Fisher-z test at level alpha needs at least "
+                       f"{FISHER_Z_MIN_ROWS} rows, got {got}")
     pc_cfg = _discover_pc_config(args, data, window)
     out = _prepare_out(args)
 

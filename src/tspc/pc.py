@@ -6,9 +6,9 @@ candidate pool adj(i) minus j holds at least l nodes, and tests i against j
 given every size-l subset of that pool in lexicographic order, deleting the
 edge and recording the first separating set found; the decision log holds
 each test as its (query, outcome) pair.  Level 0 needs no order: an edge
-goes exactly when its one empty-set test says independent, so an answerer
-that carries the table of those statistics (Fisher-z's does) has the level
-decided in one step, with the log the loop would write.  The search stops
+goes exactly when its one empty-set test says independent, so a search
+handed the table of those statistics (Fisher-z has one per sample) decides
+the level in one step and asks its answerer nothing there.  The search stops
 once no pair has a pool larger than the current size (or a configured cap
 is hit); the surviving edges form an arrowless ``Pdag``.  Orientation reads the
 separating-set table (one entry per non-adjacent pair): each common
@@ -26,8 +26,10 @@ segments are built as one batch: for Fisher-z one stacked covariance pass
 and a table of level-0 statistics per segment, for the kernel test one
 stream of single-column factors.  Each segment is then searched and
 oriented alone, bit for bit as if it were searched alone.  Its decision
-log (DecisionLog) builds the pairs of a table level only when it is read,
-so a caller that never reads it, as TPC-NS does not, never builds them.
+log (DecisionLog) holds the level-0 table and the pairs the answerer was
+asked, and reads as the log the query-by-query loop writes; the table's
+pairs are built only when the log is read, so a caller that never reads
+it, as TPC-NS does not, never builds them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import chain, combinations
+from functools import cached_property
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -50,6 +53,7 @@ from .citests import (
     column_factors,
     gaussian_ci_tests,
 )
+from .citests.gaussian import FISHER_Z_MIN_ROWS, Level0
 from .data import DataMatrix
 from .graphs import Dag, Pdag, d_separated, meek_closure
 
@@ -123,53 +127,41 @@ class PcConfig:
 Decision = tuple[CiQuery, CiOutcome]
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class DecisionLog(Sequence):
     """A search's (query, outcome) pairs, in the order the search decided them.
 
-    It reads as the tuple of its pairs: len, indexing, iteration and ==
-    (against another log or a tuple) behave as on that tuple.  A block of
-    pairs given to extend is kept as it is and drawn when the log is first
-    read, so a log that is never read never builds them.
+    It reads as the tuple of the level-0 table's pairs, if level 0 was
+    decided from one, then the pairs asked of the answerer: len, indexing,
+    iteration and == (against another log or a tuple) behave as on that
+    tuple.  The table's pairs are built when the log is first read, so a
+    log that is never read never builds them.
     """
 
-    __slots__ = ("_blocks", "_tail")
+    level0: Level0 | None
+    asked: tuple[Decision, ...]
 
-    def __init__(self) -> None:
-        self._blocks: list[Iterable[Decision]] = []
-        self._tail: list[Decision] | None = None  # the last block, if append made it
-
-    def append(self, pair: Decision) -> None:
-        if self._tail is None:
-            self._tail = []
-            self._blocks.append(self._tail)
-        self._tail.append(pair)
-
-    def extend(self, pairs: Iterable[Decision]) -> None:
-        self._blocks.append(pairs)
-        self._tail = None
-
+    @cached_property
     def _pairs(self) -> tuple[Decision, ...]:
-        if len(self._blocks) != 1 or type(self._blocks[0]) is not tuple:
-            self._blocks = [tuple(chain.from_iterable(self._blocks))]
-            self._tail = None
-        return self._blocks[0]
+        table = _table_log(*self.level0) if self.level0 is not None else ()
+        return (*table, *self.asked)
 
     def __len__(self) -> int:
-        return len(self._pairs())
+        return len(self._pairs)
 
     def __getitem__(self, index):
-        return self._pairs()[index]
+        return self._pairs[index]
 
     def __iter__(self) -> Iterator[Decision]:
-        return iter(self._pairs())
+        return iter(self._pairs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DecisionLog):
-            other = other._pairs()
-        return self._pairs() == other
+            other = other._pairs
+        return self._pairs == other
 
     def __repr__(self) -> str:
-        return f"DecisionLog({self._pairs()!r})"
+        return f"DecisionLog({self._pairs!r})"
 
 
 @dataclass(frozen=True)
@@ -184,23 +176,23 @@ def find_skeleton(
     ci: Callable[[CiQuery], CiOutcome],
     p: int,
     config: PcConfig = PcConfig(),
-    log: list[Decision] | DecisionLog | None = None,
+    log: list[Decision] | None = None,
+    level0: Level0 | None = None,
 ) -> tuple[Pdag, SepSets]:
     """Level-wise edge removal starting from the complete graph.
 
     Returns the surviving skeleton, an arrowless Pdag, and the separating set
     recorded for every removed edge (so the table covers exactly the
-    non-adjacent pairs).  The
-    exact query sequence is a pure function of p, the configuration, and the
-    CI answers, which makes decision logs replayable.  log, when given, gets
-    each query passed to ci and the outcome ci returned, as a pair.
+    non-adjacent pairs).  The exact query sequence is a pure function of p,
+    the configuration, and the CI answers, which makes decision logs
+    replayable.  log, when given, gets each query asked of ci and the
+    outcome ci returned, as a pair.
 
-    An answerer may carry level0, a (table, threshold) with table[i][j] ==
-    table[j][i] the statistic ci gives (i, j | {}) against that threshold,
-    as gaussian_ci_tests' answerers do.  Level 0 is then decided from the
-    table in one step, and log is extended with a generator of the pairs
-    the loop would have logged: row i asks every j > i, and every j < i
-    whose own test of the pair read dependent.
+    level0, when given, is a table of the statistics ci would give every
+    (i, j | {}), with their threshold, as gaussian_ci_tests yields beside
+    each answerer.  Level 0 is then decided from the table in one step and
+    asks ci nothing, and DecisionLog(level0, log) reads as the log of the
+    query-by-query level.
     """
     if p < 1:
         raise ValueError(f"need at least one node, got p={p}")
@@ -208,7 +200,6 @@ def find_skeleton(
 
     adj: dict[int, set[int]] = {v: set(range(p)) - {v} for v in range(p)}
     seps: SepSets = {}
-    level0 = getattr(ci, "level0", None)
 
     for level in range(max_cond + 1):
         if level == 0 and level0 is not None:
@@ -219,8 +210,6 @@ def find_skeleton(
                         adj[i].discard(j)
                         adj[j].discard(i)
                         seps[(i, j)] = ()
-            if log is not None:
-                log.extend(_table_log(table, threshold))
         else:
             pools = {v: frozenset(adj[v]) for v in range(p)} if config.stable else None
             for i in range(p):
@@ -250,7 +239,8 @@ def find_skeleton(
 
 
 def _table_log(table: list[list[float]], threshold: float) -> Iterator[Decision]:
-    """The level-0 pairs of a table, in the order the loop asks them."""
+    """The level-0 pairs of a table in the order the loop asks them: row i
+    asks every j > i, and every j < i whose own test of the pair read dependent."""
     for i, row in enumerate(table):
         for j, statistic in enumerate(row):
             if j > i or (j < i and not abs(statistic) <= threshold):
@@ -342,14 +332,14 @@ def oracle_ci(truth: Dag) -> Callable[[CiQuery], CiOutcome]:
 def _answerers(
     values: np.ndarray, starts: Sequence[int], length: int,
     test: GaussianCiConfig | HsicConfig | Dag,
-) -> Iterator[Callable[[CiQuery], CiOutcome]]:
-    """The CI answerer of each segment values[s:s + length], built as one batch."""
+) -> Iterator[tuple[Callable[[CiQuery], CiOutcome], Level0 | None]]:
+    """The (answerer, level0) of each segment values[s:s + length], built as one batch."""
     if isinstance(test, GaussianCiConfig):
         return gaussian_ci_tests(values, starts, length, test)
     if isinstance(test, HsicConfig):
-        return (_kernel_answerer(factors, test.gamma)
+        return ((_kernel_answerer(factors, test.gamma), None)
                 for factors in column_factors(values, starts, length, test))
-    return (oracle_ci(test) for _ in starts)
+    return ((oracle_ci(test), None) for _ in starts)
 
 
 def _kernel_answerer(factors: ColumnFactors, gamma: float) -> Callable[[CiQuery], CiOutcome]:
@@ -386,27 +376,28 @@ def pc_segments(
         )
     search = config
     if isinstance(config.test, GaussianCiConfig) and config.test.alpha is not None:
-        # The alpha-mode threshold needs n - |k| - 3 > 0, so larger
-        # conditioning sets cannot be tested on this sample.
-        if n < 4:
-            raise ValueError(f"the Fisher-z test at level alpha needs at least 4 rows, got {n}")
+        # Larger conditioning sets cannot be tested on this sample.
+        largest = n - FISHER_Z_MIN_ROWS
+        if largest < 0:
+            raise ValueError(f"the Fisher-z test at level alpha needs at least "
+                             f"{FISHER_Z_MIN_ROWS} rows, got {n}")
         reachable = config.max_cond_size if config.max_cond_size is not None else max(p - 2, 0)
-        if reachable > n - 4:
-            search = replace(config, max_cond_size=n - 4)
-    for ci in _answerers(values, starts, length, config.test):
-        log = DecisionLog()
-        skeleton, seps = find_skeleton(ci, p, search, log)
+        if reachable > largest:
+            search = replace(config, max_cond_size=largest)
+    for ci, level0 in _answerers(values, starts, length, config.test):
+        asked: list[Decision] = []
+        skeleton, seps = find_skeleton(ci, p, search, asked, level0)
         diagnostics: list[str] = []
         if search is not config:
             # The cap bound if some adjacent pair still had a larger pool.
             degrees = Counter(v for edge in skeleton.undirected for v in edge)
             if max(degrees.values(), default=0) - 1 > search.max_cond_size:
                 diagnostics.append(
-                    f"conditioning sets capped at size {n - 4}: the Fisher-z threshold "
-                    f"at level alpha needs n - |k| - 3 > 0 and the sample has {n} rows"
+                    f"conditioning sets capped at size {search.max_cond_size}: the Fisher-z "
+                    f"threshold at level alpha needs n - |k| - 3 > 0 and the sample has {n} rows"
                 )
         pdag = orient(skeleton, seps, diagnostics)
-        yield PcResult(pdag, seps, log, tuple(diagnostics))
+        yield PcResult(pdag, seps, DecisionLog(level0, tuple(asked)), tuple(diagnostics))
 
 
 def decisions_to_csv(decisions: Iterable[tuple[CiQuery, CiOutcome]]) -> str:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .citests import BootstrapConfig, GaussianCiConfig, HsicConfig, pair_gamma
+from .citests.gaussian import FISHER_Z_MIN_ROWS
 from .citests.hsic import CALIBRATION_MIN_ROWS
 from .data import DataMatrix, write_text_atomic
 from .evaluate import EdgeConfusion, MetricsReport, aggregate, confusion, edge_frequency, metrics
@@ -60,8 +61,10 @@ class SweepConfig:
     single kernel test sees; None lifts the cap.  Calibration sees the same
     cap and needs CALIBRATION_MIN_ROWS rows, so any kernel (*HS) method
     needs a cap of at least that.  Construction also rejects a series too
-    short for a method's window and subsample settings TpcnsConfig refuses,
-    so a bad sweep fails before its first cell.
+    short for a method's window, subsample settings TpcnsConfig refuses,
+    and a Fisher-z method (PC, TPCS or TPCNS, always at level alpha) that
+    would search fewer than FISHER_Z_MIN_ROWS rows, so a bad sweep fails
+    before its first cell.
     """
 
     paradigm: str
@@ -124,7 +127,13 @@ class SweepConfig:
         if any(m.startswith("TPCNS") for m in methods):
             TpcnsConfig(self.window_length, self.num_subsamples, self.freq_cutoff)
         for m in methods:
-            unrolled_rows(rows, *_search_window(m, self))
+            window, length = _search_window(m, self)
+            count = unrolled_rows(rows, window, length)
+            searched = count if length is None else length
+            if not m.endswith("HS") and searched < FISHER_Z_MIN_ROWS:
+                named = f" (window_length={length})" if length else ""
+                raise ValueError(f"{m} searches {searched} rows{named}; the Fisher-z test at "
+                                 f"level alpha needs at least {FISHER_Z_MIN_ROWS}")
 
 
 @dataclass(frozen=True)

@@ -104,15 +104,10 @@ def gen_linear_var(cfg: SimConfig) -> DataMatrix:
     state = rng.normal(0.0, cfg.eta, size=4)
     eps = rng.normal(0.0, cfg.eta, size=(total, 4))
     out = np.empty((total, 4), dtype=np.float64)
-    for t in range(total):
-        row = np.array([
-            1.0 + eps[t, 0],
-            -1.0 + eps[t, 1],
-            2.0 * state[0] + state[1] + eps[t, 2],
-            2.0 * state[2] + eps[t, 3],
-        ])
-        out[t] = row
-        state = row
+    out[:, 0] = 1.0 + eps[:, 0]
+    out[:, 1] = -1.0 + eps[:, 1]
+    out[:, 2] = 2.0 * _lagged(out[:, 0], state[0]) + _lagged(out[:, 1], state[1]) + eps[:, 2]
+    out[:, 3] = 2.0 * _lagged(out[:, 2], state[2]) + eps[:, 3]
     return DataMatrix(out[cfg.burn_in:])
 
 
@@ -127,16 +122,24 @@ def gen_nonlinear_var(cfg: SimConfig) -> DataMatrix:
     state = rng.uniform(0.0, cfg.eta, size=4)
     noise = rng.uniform(0.0, cfg.eta, size=(total, 4))
     out = np.empty((total, 4), dtype=np.float64)
-    for t in range(total):
-        row = np.array([
-            noise[t, 0],
-            noise[t, 1],
-            4.0 * math.sin(state[0]) + 3.0 * math.cos(state[1]) + noise[t, 2],
-            2.0 * math.sin(state[2]) + noise[t, 3],
-        ])
-        out[t] = row
-        state = row
+    out[:, :2] = noise[:, :2]
+    out[:, 2] = (4.0 * _each(math.sin, _lagged(out[:, 0], state[0]))
+                 + 3.0 * _each(math.cos, _lagged(out[:, 1], state[1])) + noise[:, 2])
+    out[:, 3] = 2.0 * _each(math.sin, _lagged(out[:, 2], state[2])) + noise[:, 3]
     return DataMatrix(out[cfg.burn_in:])
+
+
+# Both recursions are feed-forward across columns (3 reads the previous row
+# of 1 and 2, 4 the previous row of 3), so each column is computed over the
+# whole series in turn, with the per-row operations in the per-row order.
+def _lagged(column: np.ndarray, start: float) -> np.ndarray:
+    """The previous row's value of column at every row, start before the first."""
+    return np.concatenate(([start], column[:-1]))
+
+
+def _each(fn, values: np.ndarray) -> np.ndarray:
+    """fn (math.sin or math.cos) of every value; np.sin and np.cos need not give its bits."""
+    return np.fromiter(map(fn, values.tolist()), dtype=np.float64, count=len(values))
 
 
 _VARMA_C = np.array([1.0, -1.0, 1.0, 2.0])

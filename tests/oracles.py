@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
+import math
+
 import numpy as np
 from scipy import linalg as sla
 from scipy.linalg import lapack
@@ -23,6 +25,7 @@ from tspc.data import DataMatrix
 from tspc.graphs import Dag, Pdag, RolledGraph, roll
 from tspc.pc import PcConfig, PcResult, find_skeleton, oracle_ci, orient, pc
 from tspc.rng import make_generator
+from tspc.simulate import SimConfig
 from tspc.tpc import TpcnsConfig, TpcnsResult, forward_time, unroll, unrolled_rows
 
 
@@ -275,3 +278,41 @@ def kernel_factor_oracle(arr: np.ndarray, reg: float) -> np.ndarray:
     inner[np.diag_indices(rank)] += reg
     chol = sla.cholesky(inner, lower=True)
     return sla.solve_triangular(chol, low.T, lower=True).T
+
+
+def gen_linear_var_loop(cfg: SimConfig) -> DataMatrix:
+    """simulate.gen_linear_var as its recursion, one row at a time."""
+    rng = make_generator(cfg.seed)
+    total = cfg.n + cfg.burn_in
+    state = rng.normal(0.0, cfg.eta, size=4)
+    eps = rng.normal(0.0, cfg.eta, size=(total, 4))
+    out = np.empty((total, 4), dtype=np.float64)
+    for t in range(total):
+        row = np.array([
+            1.0 + eps[t, 0],
+            -1.0 + eps[t, 1],
+            2.0 * state[0] + state[1] + eps[t, 2],
+            2.0 * state[2] + eps[t, 3],
+        ])
+        out[t] = row
+        state = row
+    return DataMatrix(out[cfg.burn_in:])
+
+
+def gen_nonlinear_var_loop(cfg: SimConfig) -> DataMatrix:
+    """simulate.gen_nonlinear_var as its recursion, one row at a time."""
+    rng = make_generator(cfg.seed)
+    total = cfg.n + cfg.burn_in
+    state = rng.uniform(0.0, cfg.eta, size=4)
+    noise = rng.uniform(0.0, cfg.eta, size=(total, 4))
+    out = np.empty((total, 4), dtype=np.float64)
+    for t in range(total):
+        row = np.array([
+            noise[t, 0],
+            noise[t, 1],
+            4.0 * math.sin(state[0]) + 3.0 * math.cos(state[1]) + noise[t, 2],
+            2.0 * math.sin(state[2]) + noise[t, 3],
+        ])
+        out[t] = row
+        state = row
+    return DataMatrix(out[cfg.burn_in:])

@@ -298,6 +298,26 @@ class TestDiscover:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,rows,message", [
+        (["--method", "tpcns", "--L", "3"], 60, "got --L 3"),
+        (["--method", "pc"], 3, "got 3 rows to search"),
+        (["--method", "tpcs", "--tau", "2", "--stride", "2"], 7, "got 3 rows to search"),
+    ])
+    def test_too_few_rows_for_fisher_z_is_usage_error(self, tmp_path, capsys, flags, rows,
+                                                      message):
+        # the searched rows (unrolled, or --L per subsample) are checked
+        # before any output is written; a fixed --gamma has no such floor
+        src = tmp_path / "short.csv"
+        write_csv(DataMatrix(np.random.default_rng(1005).normal(size=(rows, 3))), src)
+        out = tmp_path / "o"
+        rc = main(["discover", *flags, "--in", str(src), "--out", str(out)])
+        assert rc == 2
+        assert ("error: the Fisher-z test at level alpha needs at least 4 rows, "
+                f"{message}") in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["discover", *flags, "--gamma", "1e6", "--in", str(src),
+                     "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("test", ["gaussian", "hsic"])
     @pytest.mark.parametrize("flags,message", [
         (["--L", "1"], "window length must be at least 2, got 1"),
@@ -663,6 +683,10 @@ class TestReproduce:
          "window length 400 exceeds the 150 unrolled observations"),
         (["--n", "1"], "n=1 is too short"),
         (["--n", "10", "--methods", "TPCS", "--tau", "20"], "need at least tau=20 rows, got 10"),
+        (["--methods", "PC,TPCNS", "--L", "3"], "TPCNS searches 3 rows (window_length=3); "
+         "the Fisher-z test at level alpha needs at least 4"),
+        (["--methods", "PC", "--n", "3"], "PC searches 3 rows"),
+        (["--methods", "TPCS", "--n", "7"], "TPCS searches 3 rows"),
     ])
     def test_bad_sweep_is_usage_error_before_any_cell(
         self, tmp_path, capsys, monkeypatch, flags, message

@@ -384,14 +384,15 @@ class TestDecisionCsv:
 
 class TestDecisionLog:
     def test_reads_as_the_pairs_find_skeleton_logs_into_a_list(self):
-        # pc() keeps level 0 as one table block; find_skeleton on the same
-        # answerer, given a list, writes every pair out
+        # pc() keeps level 0 as its table; find_skeleton on the same
+        # answerer without the table asks every query and logs each pair
         values = make_generator(9310).normal(size=(40, 5))
         values[:, 4] += values[:, 0] + values[:, 1]
         config = PcConfig(GaussianCiConfig(alpha=0.05))
         decisions = pc(values, config).decisions
         pairs: list = []
-        find_skeleton(next(gaussian_ci_tests(values, (0,), 40, config.test)), 5, config, pairs)
+        ci, _ = next(gaussian_ci_tests(values, (0,), 40, config.test))
+        find_skeleton(ci, 5, config, pairs)
         assert max(len(q.k) for q, _ in pairs) >= 1
         assert decisions == tuple(pairs) and tuple(pairs) == decisions
         assert len(decisions) == len(pairs)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tspc.graphs import RolledGraph
 from tspc.rng import derive_seed
@@ -17,6 +19,8 @@ from tspc.simulate import (
     generate,
     ground_truth,
 )
+
+from .oracles import gen_linear_var_loop, gen_nonlinear_var_loop
 
 MOTIF = frozenset({(0, 2), (1, 2), (2, 3)})
 
@@ -191,3 +195,17 @@ class TestReproducibility:
         for paradigm, fn in pairs:
             c = cfg(paradigm, eta=1.0, n=200, seed=31)
             assert np.array_equal(generate(c).values, fn(c).values)
+
+
+class TestColumnwiseRecursions:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 3000),
+           burn_in=st.integers(0, 100), eta=st.floats(0.0, 2.0))
+    def test_match_the_row_by_row_recursions(self, seed, n, burn_in, eta):
+        # each column over the whole series gives the bytes the recursion gives
+        for paradigm, fast, loop in [
+            ("LinearGaussianVAR", gen_linear_var, gen_linear_var_loop),
+            ("NonlinearNonGaussianVAR", gen_nonlinear_var, gen_nonlinear_var_loop),
+        ]:
+            c = cfg(paradigm, eta=eta, n=n, seed=seed, burn_in=burn_in)
+            assert fast(c).values.tobytes() == loop(c).values.tobytes()
