@@ -159,16 +159,37 @@ def partial_correlation(cov: CovMatrix, query: CiQuery) -> float:
     The pair is permuted to the leading block and the conditioning set to the
     trailing block; the conditional covariance of the pair is then
     S11 - S12 S22^{-1} S21, factorizing the conditioning block by Cholesky.
-    The factor and the solve are the LAPACK calls (dpotrf, dpotrs) behind
-    scipy.linalg.cholesky and cho_solve, without their per-call checks:
-    CovMatrix rejected non-finite entries, and the blocks are tiny.
+    For two or more conditioning variables the factor and the solve are the
+    LAPACK calls (dpotrf, dpotrs) behind scipy.linalg.cholesky and
+    cho_solve, without their per-call checks: CovMatrix rejected non-finite
+    entries, and the blocks are tiny.  One conditioning variable is the
+    same operations on a 1x1 block in closed form, with their bits on any
+    BLAS: the solve multiplies by the reciprocal pivot 1 / sqrt(s_kk), and
+    the product S12 w starts its sum at +0.0.
     """
     p = cov.p
     for v in (query.i, query.j, *query.k):
         if not 0 <= v < p:
             raise ValueError(f"variable {v} out of range for p={p}")
     sigma = cov.sigma
-    if query.k:
+    if len(query.k) == 1:
+        # dpotrf, dpotrs and s12 @ w on a 1x1 block, in their order: the
+        # solves multiply by the reciprocal pivot, and the product's sum
+        # starts at +0.0, which turns a -0.0 product into +0.0.
+        i, j, (k,) = query.i, query.j, query.k
+        s_kk = sigma.item(k, k)
+        if s_kk <= 0.0:
+            raise CiTestError("conditioning set collinear")
+        root = math.sqrt(s_kk)
+        if root * root < _PIVOT_TOL * s_kk:
+            raise CiTestError("conditioning set collinear")
+        inv = 1.0 / root
+        s_ik, s_jk = sigma.item(i, k), sigma.item(j, k)
+        w_i, w_j = s_ik * inv * inv, s_jk * inv * inv
+        var_i = sigma.item(i, i) - (0.0 + s_ik * w_i)
+        var_j = sigma.item(j, j) - (0.0 + s_jk * w_j)
+        cov_ij = sigma.item(i, j) - (0.0 + s_ik * w_j)
+    elif query.k:
         idx = [query.i, query.j, *query.k]
         # C-ordered like sigma[np.ix_(idx, idx)], so s12 @ w runs the same BLAS call.
         sub = sigma.take(idx, 0).take(idx, 1)

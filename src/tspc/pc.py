@@ -102,7 +102,8 @@ class PcConfig:
 
     max_cond_size None means the default cap p - 2 (every size a pool can
     reach).  Fisher-z at level alpha further caps it at n - 4, the largest
-    size its threshold is defined for.  stable snapshots each node's
+    size its threshold is defined for, and at a fixed gamma at n - 2, the
+    largest that leaves a residual variance.  stable snapshots each node's
     neighbourhood at the start of a level so deletions within the level
     cannot influence later conditioning pools; the skeleton then does not
     depend on the order of the columns.
@@ -375,12 +376,18 @@ def pc_segments(
             f"the oracle graph has {config.test.p} nodes but the data has {p} columns"
         )
     search = config
-    if isinstance(config.test, GaussianCiConfig) and config.test.alpha is not None:
+    if isinstance(config.test, GaussianCiConfig):
         # Larger conditioning sets cannot be tested on this sample.
-        largest = n - FISHER_Z_MIN_ROWS
-        if largest < 0:
-            raise ValueError(f"the Fisher-z test at level alpha needs at least "
-                             f"{FISHER_Z_MIN_ROWS} rows, got {n}")
+        if config.test.alpha is not None:
+            largest = n - FISHER_Z_MIN_ROWS
+            if largest < 0:
+                raise ValueError(f"the Fisher-z test at level alpha needs at least "
+                                 f"{FISHER_Z_MIN_ROWS} rows, got {n}")
+            why = "the Fisher-z threshold at level alpha needs n - |k| - 3 > 0"
+        else:
+            # n - 1 centered rows leave no residual variance past n - 2 columns.
+            largest = max(n - 2, 0)
+            why = "a Fisher-z residual variance needs n - |k| - 1 > 0"
         reachable = config.max_cond_size if config.max_cond_size is not None else max(p - 2, 0)
         if reachable > largest:
             search = replace(config, max_cond_size=largest)
@@ -393,8 +400,8 @@ def pc_segments(
             degrees = Counter(v for edge in skeleton.undirected for v in edge)
             if max(degrees.values(), default=0) - 1 > search.max_cond_size:
                 diagnostics.append(
-                    f"conditioning sets capped at size {search.max_cond_size}: the Fisher-z "
-                    f"threshold at level alpha needs n - |k| - 3 > 0 and the sample has {n} rows"
+                    f"conditioning sets capped at size {search.max_cond_size}: {why} "
+                    f"and the sample has {n} rows"
                 )
         pdag = orient(skeleton, seps, diagnostics)
         yield PcResult(pdag, seps, DecisionLog(level0, tuple(asked)), tuple(diagnostics))

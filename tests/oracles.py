@@ -19,8 +19,10 @@ from scipy.linalg import lapack
 from scipy.spatial.distance import pdist
 
 from tspc.citests import (
-    CiOutcome, CiQuery, GaussianCiConfig, gaussian_ci_test, hsic, sample_covariance,
+    CiOutcome, CiQuery, CiTestError, CovMatrix, GaussianCiConfig, gaussian_ci_test, hsic,
+    sample_covariance,
 )
+from tspc.citests.gaussian import _PIVOT_TOL, _correlation
 from tspc.data import DataMatrix
 from tspc.graphs import Dag, Pdag, RolledGraph, roll
 from tspc.pc import PcConfig, PcResult, find_skeleton, oracle_ci, orient, pc
@@ -173,26 +175,28 @@ def tpcns_loop(data: DataMatrix, config: TpcnsConfig) -> TpcnsResult:
 def fisher_z_pc(values: np.ndarray, config: PcConfig) -> PcResult:
     """pc() on values, each query asked of gaussian_ci_test on sample_covariance in turn.
 
-    The conditioning sets are capped at n - 4 at level alpha, with the
-    diagnostic pc() writes when the cap binds.  A failing query raises the
-    CiQueryError pc() raises.
+    The conditioning sets are capped at n - 4 at level alpha and at n - 2
+    at a fixed gamma, with the diagnostic pc() writes when the cap binds.  A
+    failing query raises the CiQueryError pc() raises.
     """
     n, p = values.shape
     cov = sample_covariance(values)
+    if config.test.alpha is not None:
+        cap, why = n - 4, "the Fisher-z threshold at level alpha needs n - |k| - 3 > 0"
+    else:
+        cap, why = max(n - 2, 0), "a Fisher-z residual variance needs n - |k| - 1 > 0"
     search = config
     reachable = config.max_cond_size if config.max_cond_size is not None else max(p - 2, 0)
-    if config.test.alpha is not None and reachable > n - 4:
-        search = PcConfig(config.test, max_cond_size=n - 4, stable=config.stable)
+    if reachable > cap:
+        search = PcConfig(config.test, max_cond_size=cap, stable=config.stable)
     log: list[tuple[CiQuery, CiOutcome]] = []
     skeleton, seps = find_skeleton(
         lambda query: gaussian_ci_test(cov, query, config.test), p, search, log)
     diagnostics = []
     degrees = Counter(v for edge in skeleton.undirected for v in edge)
-    if search is not config and max(degrees.values(), default=0) - 1 > n - 4:
+    if search is not config and max(degrees.values(), default=0) - 1 > cap:
         diagnostics.append(
-            f"conditioning sets capped at size {n - 4}: the Fisher-z threshold "
-            f"at level alpha needs n - |k| - 3 > 0 and the sample has {n} rows"
-        )
+            f"conditioning sets capped at size {cap}: {why} and the sample has {n} rows")
     pdag = orient(skeleton, seps, diagnostics)
     return PcResult(pdag, seps, tuple(log), tuple(diagnostics))
 
@@ -200,6 +204,32 @@ def fisher_z_pc(values: np.ndarray, config: PcConfig) -> PcResult:
 def fisher_z_log(values: np.ndarray, config: PcConfig) -> tuple[tuple[CiQuery, CiOutcome], ...]:
     """pc()'s decision log on values, from fisher_z_pc: one query at a time."""
     return fisher_z_pc(values, config).decisions
+
+
+def lapack_partial_correlation(cov: CovMatrix, query: CiQuery) -> float:
+    """partial_correlation of a query with a conditioning set, through dpotrf and dpotrs.
+
+    The conditional covariance S11 - S12 S22^{-1} S21 of the pair from the
+    LAPACK factor and solve of S22, with partial_correlation's error rules
+    and _correlation.  The closed form for one conditioning variable must
+    give exactly these bits and errors.
+    """
+    sigma = cov.sigma
+    idx = [query.i, query.j, *query.k]
+    sub = sigma.take(idx, 0).take(idx, 1)
+    s12 = sub[:2, 2:]
+    s22 = sub[2:, 2:]
+    chol, info = lapack.dpotrf(s22, lower=1, clean=1)
+    if info > 0 or chol.diagonal().min() ** 2 < _PIVOT_TOL * s22.trace():
+        raise CiTestError("conditioning set collinear")
+    w, _ = lapack.dpotrs(chol, s12.T, lower=1)
+    # At scales 1e300 apart w overflows and meets a zero; the closed form
+    # gives the same nan without numpy's warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        (var_i, cov_ij), (_, var_j) = (sub[:2, :2] - s12 @ w).tolist()
+    if var_i <= 0.0 or var_j <= 0.0:
+        raise CiTestError("degenerate residual variance")
+    return _correlation(cov_ij, var_i, var_j)
 
 
 def rolled_edges_of_member(edges, p: int) -> frozenset:

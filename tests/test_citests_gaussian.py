@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg as sla
 from scipy import stats
@@ -28,7 +28,9 @@ from tspc.data import DataMatrix
 from tspc.pc import CiQueryError, PcConfig, pc
 from tspc.rng import derive_seed, make_generator
 
-from .oracles import fisher_z_log, random_dag, residual_partial_corr, sem_covariance
+from .oracles import (
+    fisher_z_log, lapack_partial_correlation, random_dag, residual_partial_corr, sem_covariance,
+)
 
 
 class TestCiQuery:
@@ -476,3 +478,45 @@ class TestBitForBit:
         values[:, 3] = values[:, 2] + 1e-7 * rng.normal(size=60)
         with pytest.raises(CiQueryError, match=r"\(1, 2 \| \{3, 4\}\).*collinear"):
             pc(values, PcConfig(GaussianCiConfig(gamma=1e-12)))
+
+
+class TestClosedForm:
+    """One conditioning variable in closed form has the bits of dpotrf and dpotrs."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(4, 60), p=st.integers(3, 5),
+           exponents=st.lists(st.one_of(st.integers(-170, 160), st.integers(-164, -150)),
+                              min_size=5, max_size=5),
+           kind=st.sampled_from(["normal", "copy", "negated", "constant", "zero"]))
+    @example(seed=0, n=4, p=3, exponents=[-162, -162, -162, 0, 0], kind="normal")
+    @example(seed=1, n=60, p=3, exponents=[150, 140, 150, 0, 0], kind="copy")
+    def test_same_bits_and_errors_as_lapack(self, seed, n, p, exponents, kind):
+        # Column scales from 1e-170 to 1e160: variances that are subnormal
+        # or zero, products of variances that leave the normal range, and
+        # exact copies and constant columns that must fail at the same query.
+        rng = make_generator(seed)
+        values = rng.normal(size=(n, p)) * 10.0 ** np.array(exponents[:p], dtype=float)
+        if kind in ("copy", "negated"):
+            values[:, 0] = values[:, 1] if kind == "copy" else -values[:, 1]
+        elif kind == "constant":
+            values[:, p - 1] = 2.5
+        elif kind == "zero":
+            values[:, 0] = 0.0
+        try:
+            cov = sample_covariance(values)
+        except ValueError:
+            return
+        for query in (q for q in _every_query(p) if len(q.k) == 1):
+            got = _outcome(lambda q: partial_correlation(cov, q), query)
+            want = _outcome(lambda q: lapack_partial_correlation(cov, q), query)
+            assert got == want, query
+
+    def test_signed_zero(self):
+        # s_ij is -0.0 and s_ik * s_jk / s_kk underflows to -0.0: LAPACK's
+        # product starts at +0.0, so the residual covariance stays -0.0
+        tiny = 5e-324
+        cov = CovMatrix(np.array([[1.0, -0.0, tiny], [-0.0, 1.0, -tiny], [tiny, -tiny, 1.0]]),
+                        n=10)
+        query = CiQuery(0, 1, (2,))
+        assert partial_correlation(cov, query).hex() == "-0x0.0p+0"
+        assert lapack_partial_correlation(cov, query).hex() == "-0x0.0p+0"

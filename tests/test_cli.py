@@ -357,6 +357,24 @@ class TestDiscover:
         err = capsys.readouterr().err
         assert err.splitlines()[0].startswith(note)
 
+    @pytest.mark.parametrize("method,flags,values", [
+        ("tpcns", ["--L", "3"], np.random.default_rng(5).normal(size=(40, 4))),
+        ("pc", [], np.array([[0.346, 0.822, 0.33, -1.303], [0.905, 0.446, -0.537, 0.581],
+                             [0.365, 0.294, 0.028, 0.547]])),
+    ])
+    def test_fixed_gamma_caps_conditioning_sets(self, tmp_path, capsys, method, flags, values):
+        # on 3 rows a set of 2 columns leaves no residual variance; these
+        # searches reached one and failed before the cap at n - 2
+        src = tmp_path / "short.csv"
+        write_csv(DataMatrix(values), src)
+        out = tmp_path / "o"
+        rc = main(["discover", "--method", method, "--test", "gaussian", "--gamma", "0.5",
+                   *flags, "--in", str(src), "--out", str(out)])
+        assert rc == 0
+        assert ("conditioning sets capped at size 1: a Fisher-z residual variance needs "
+                "n - |k| - 1 > 0 and the sample has 3 rows") in capsys.readouterr().err
+        assert (out / "graph.json").exists() and not (out / "error.json").exists()
+
     def test_tpcs_emits_unrolled_and_rolled(self, tmp_path):
         data = linvar_csv(tmp_path / "lin.csv")
         out = tmp_path / "o"

@@ -327,13 +327,18 @@ class TestSamplePc:
             assert isinstance(query, CiQuery)
             assert isinstance(outcome, CiOutcome)
 
-    @pytest.mark.parametrize("n,p", [(8, 7), (6, 8)])
-    def test_short_sample_caps_conditioning_size(self, n, p):
-        # alpha 0.6 puts the threshold below zero, so no edge is ever removed
-        # and the search would reach sets of size p - 2 > n - 4
-        result = pc(make_generator(derive_seed(92, n)).normal(size=(n, p)),
-                    PcConfig(GaussianCiConfig(alpha=0.6)))
-        assert max(len(q.k) for q, _ in result.decisions) == n - 4
+    @pytest.mark.parametrize("n,p,test,cap", [
+        pytest.param(8, 7, GaussianCiConfig(alpha=0.6), 4, id="8-7"),
+        pytest.param(6, 8, GaussianCiConfig(alpha=0.6), 2, id="6-8"),
+        pytest.param(4, 6, GaussianCiConfig(gamma=1e-9), 2, id="4-6-gamma"),
+    ])
+    def test_short_sample_caps_conditioning_size(self, n, p, test, cap):
+        # alpha 0.6 puts the threshold below zero and gamma 1e-9 near it, so
+        # no edge is removed and the search would reach sets of size p - 2:
+        # past n - 4 at level alpha, past n - 2 (no residual variance left)
+        # at a fixed gamma
+        result = pc(make_generator(derive_seed(92, n)).normal(size=(n, p)), PcConfig(test))
+        assert max(len(q.k) for q, _ in result.decisions) == cap
         assert any("capped at size" in line for line in result.diagnostics)
 
     def test_fewer_than_four_rows_named(self):
