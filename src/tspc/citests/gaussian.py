@@ -122,12 +122,11 @@ def sample_covariance(values: DataMatrix | np.ndarray) -> CovMatrix:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"data must be two-dimensional, got shape {arr.shape}")
-    return next(sample_covariances(arr, (0,), len(arr)))
+    return next(sample_covariances([arr]))
 
 
-def sample_covariances(values: np.ndarray, starts: Sequence[int], length: int
-                       ) -> Iterator[CovMatrix]:
-    """sample_covariance of each segment values[s:s + length], in the order of starts.
+def sample_covariances(segments: Sequence[np.ndarray]) -> Iterator[CovMatrix]:
+    """sample_covariance of each segment, float64 matrices of one shape, in order.
 
     Segments are stacked and computed together, centering and then C^T C / n
     on the stack, with the bits of one segment at a time: the row sums run
@@ -136,21 +135,21 @@ def sample_covariances(values: np.ndarray, starts: Sequence[int], length: int
     copy.  The covariances are checked one at a time as they are taken, so
     a bad segment raises only once the ones before it are used.
     """
-    if length < 2:
-        raise ValueError(f"need at least 2 rows, got {length}")
-    per_chunk = max(1, _STACK_VALUES // (length * values.shape[1] or 1))
-    for at in range(0, len(starts), per_chunk):
-        chunk = starts[at:at + per_chunk]
-        if len(chunk) == 1:
-            stack = values[None, chunk[0]:chunk[0] + length]
-        else:
-            stack = values[np.add.outer(chunk, np.arange(length))]
+    if not segments:
+        return
+    n = len(segments[0])
+    if n < 2:
+        raise ValueError(f"need at least 2 rows, got {n}")
+    per_chunk = max(1, _STACK_VALUES // (segments[0].size or 1))
+    for at in range(0, len(segments), per_chunk):
+        chunk = segments[at:at + per_chunk]
+        stack = chunk[0][None] if len(chunk) == 1 else np.stack(chunk)
         # An overflow is reported by CovMatrix, naming the column.
         with np.errstate(over="ignore", invalid="ignore"):
             centered = stack - stack.mean(axis=1, keepdims=True)
-            sigmas = centered.transpose(0, 2, 1) @ centered / length
+            sigmas = centered.transpose(0, 2, 1) @ centered / n
         for sigma in sigmas:
-            yield CovMatrix(sigma, length)
+            yield CovMatrix(sigma, n)
 
 
 def partial_correlation(cov: CovMatrix, query: CiQuery) -> float:
@@ -271,10 +270,9 @@ def gaussian_ci_test(cov: CovMatrix, query: CiQuery, config: GaussianCiConfig) -
     return CiOutcome(statistic, threshold)
 
 
-def gaussian_ci_tests(values: np.ndarray, starts: Sequence[int], length: int,
-                      config: GaussianCiConfig
+def gaussian_ci_tests(segments: Sequence[np.ndarray], config: GaussianCiConfig
                       ) -> Iterator[tuple[Callable[[CiQuery], CiOutcome], Level0 | None]]:
-    """The (answerer, level0) of each segment values[s:s + length].
+    """The (answerer, level0) of each segment, as pc_segments searches them.
 
     The answerer is gaussian_ci_test bound to the segment's covariance, from
     sample_covariances, one at a time.  level0 is the table of every query
@@ -283,11 +281,10 @@ def gaussian_ci_tests(values: np.ndarray, starts: Sequence[int], length: int,
     is not positive has level0 None: its search asks the queries one at a
     time and fails at the first query on that column, as it fails alone.
     """
-    if config.gamma is not None:
-        threshold = config.gamma
-    else:
-        threshold = gaussian_gamma(config.alpha, length, 0)
-    for cov in sample_covariances(values, starts, length):
+    threshold = config.gamma
+    for cov in sample_covariances(segments):
+        if threshold is None:
+            threshold = gaussian_gamma(config.alpha, cov.n, 0)
         sigma = cov.sigma.tolist()
         level0 = None
         if all(sigma[v][v] > 0.0 for v in range(cov.p)):

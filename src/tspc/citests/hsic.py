@@ -584,43 +584,30 @@ class ColumnFactors:
         return _statistic(self._block((i, *k)), self._block((j, *k)), self._block(k))
 
 
-def column_factors(values: np.ndarray, starts: Sequence[int], length: int,
+def column_factors(segments: Sequence[np.ndarray],
                    config: HsicConfig = HsicConfig()) -> Iterator[ColumnFactors]:
-    """ColumnFactors(values[s:s + length], config) for each start s, in order.
+    """ColumnFactors(segment, config) for each segment, in order.
 
-    The single columns of all segments are factored as one _single_factors
-    stream, read as the segments are taken, so a chunk of the stream can
-    span segments; a factor has the same bits whatever shares its chunk.
-    Each segment is capped and checked once, when the stream or its own
-    turn reaches it, whichever comes first.  The stream stops before a
-    segment that fails, and the error is raised at that segment's turn,
+    The segments are capped and checked in order up to the first that
+    fails.  The single columns of those before it are factored as one
+    _single_factors stream, read as the segments are taken, so a chunk of
+    the stream can span segments; a factor has the same bits whatever
+    shares its chunk.  The failing segment's error is raised at its turn,
     once the ones before it are used.
     """
-    checked: dict[int, np.ndarray | ValueError] = {}
-
-    def rows(s: int) -> np.ndarray | ValueError:
-        if s not in checked:
-            try:
-                checked[s] = _checked_rows(values[starts[s]:starts[s] + length], config)
-            except ValueError as exc:
-                checked[s] = exc
-        return checked[s]
-
-    def columns() -> Iterator[np.ndarray]:
-        for s in range(len(starts)):
-            segment = rows(s)
-            if isinstance(segment, ValueError):
-                return
-            yield from segment.T
-
-    single = _single_factors(columns())
-    for s in range(len(starts)):
-        segment = rows(s)
-        if isinstance(segment, ValueError):
-            raise segment
-        factors = ColumnFactors(segment, single=single)
-        del checked[s]
-        yield factors
+    checked: list[np.ndarray] = []
+    error = None
+    for segment in segments:
+        try:
+            checked.append(_checked_rows(segment, config))
+        except ValueError as exc:
+            error = exc
+            break
+    single = _single_factors(column for rows in checked for column in rows.T)
+    for rows in checked:
+        yield ColumnFactors(rows, single=single)
+    if error is not None:
+        raise error
 
 
 def _stack_query(x: np.ndarray, y: np.ndarray, z: np.ndarray | None) -> np.ndarray:

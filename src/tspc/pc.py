@@ -20,16 +20,16 @@ Arrowhead demands that contradict each other (both directions requested for
 one edge) cancel: the edge stays undirected and the conflict is reported as
 a diagnostic instead of silently picking a side.
 
-pc_segments searches many row segments of one matrix, as TPC-NS does with
-its subsamples, and pc() is its batch of one.  The CI answerers of all
-segments are built as one batch: for Fisher-z one stacked covariance pass
-and a table of level-0 statistics per segment, for the kernel test one
-stream of single-column factors.  Each segment is then searched and
-oriented alone, bit for bit as if it were searched alone.  Its decision
-log (DecisionLog) holds the level-0 table and the pairs the answerer was
-asked, and reads as the log the query-by-query loop writes; the table's
-pairs are built only when the log is read, so a caller that never reads
-it, as TPC-NS does not, never builds them.
+pc_segments searches a list of segments, matrices of one shape such as the
+subsamples TPC-NS slices from one series, and pc() is its batch of one.
+The CI answerers of all segments are built as one batch: for Fisher-z one
+stacked covariance pass and a table of level-0 statistics per segment, for
+the kernel test one stream of single-column factors.  Each segment is then
+searched and oriented alone, bit for bit as if it were searched alone.
+Its decision log (DecisionLog) holds the level-0 table and the pairs the
+answerer was asked, and reads as the log the query-by-query loop writes;
+the table's pairs are built only when the log is read, so a caller that
+never reads it, as TPC-NS does not, never builds them.
 """
 
 from __future__ import annotations
@@ -50,10 +50,9 @@ from .citests import (
     ColumnFactors,
     GaussianCiConfig,
     HsicConfig,
-    column_factors,
-    gaussian_ci_tests,
 )
-from .citests.gaussian import FISHER_Z_MIN_ROWS, Level0
+from .citests.gaussian import FISHER_Z_MIN_ROWS, Level0, gaussian_ci_tests
+from .citests.hsic import column_factors
 from .data import DataMatrix
 from .graphs import Dag, Pdag, d_separated, meek_closure
 
@@ -331,16 +330,15 @@ def oracle_ci(truth: Dag) -> Callable[[CiQuery], CiOutcome]:
 
 
 def _answerers(
-    values: np.ndarray, starts: Sequence[int], length: int,
-    test: GaussianCiConfig | HsicConfig | Dag,
+    segments: Sequence[np.ndarray], test: GaussianCiConfig | HsicConfig | Dag,
 ) -> Iterator[tuple[Callable[[CiQuery], CiOutcome], Level0 | None]]:
-    """The (answerer, level0) of each segment values[s:s + length], built as one batch."""
+    """The (answerer, level0) of each segment, built as one batch."""
     if isinstance(test, GaussianCiConfig):
-        return gaussian_ci_tests(values, starts, length, test)
+        return gaussian_ci_tests(segments, test)
     if isinstance(test, HsicConfig):
         return ((_kernel_answerer(factors, test.gamma), None)
-                for factors in column_factors(values, starts, length, test))
-    return ((oracle_ci(test), None) for _ in starts)
+                for factors in column_factors(segments, test))
+    return ((oracle_ci(test), None) for _ in segments)
 
 
 def _kernel_answerer(factors: ColumnFactors, gamma: float) -> Callable[[CiQuery], CiOutcome]:
@@ -355,22 +353,25 @@ def pc(data: DataMatrix | np.ndarray, config: PcConfig = PcConfig()) -> PcResult
     values = data.values if isinstance(data, DataMatrix) else np.asarray(data, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"data must be two-dimensional, got shape {values.shape}")
-    return next(pc_segments(values, (0,), len(values), config))
+    return next(pc_segments([values], config))
 
 
-def pc_segments(
-    values: np.ndarray, starts: Sequence[int], length: int, config: PcConfig = PcConfig()
-) -> Iterator[PcResult]:
-    """pc() on each segment values[s:s + length] of a float64 matrix, in the order of starts.
+def pc_segments(segments: Sequence[np.ndarray], config: PcConfig = PcConfig()
+                ) -> Iterator[PcResult]:
+    """pc() on each segment, float64 matrices of one shape, in order.
 
     The CI answerers of all segments are built as one batch (_answerers):
     one stacked covariance pass for Fisher-z, one single-column factor
     stream for the kernel test.  Each segment is then searched and oriented
     alone, and each result has the bits pc() gives that segment alone.  A
     segment that fails raises the error pc() raises on it, once the results
-    before it are taken.
+    before it are taken.  An empty batch yields nothing.
     """
-    n, p = length, values.shape[1]
+    if not segments:
+        return
+    n, p = segments[0].shape
+    if any(segment.shape != (n, p) for segment in segments):
+        raise ValueError(f"segments must all have the shape {(n, p)} of the first")
     if isinstance(config.test, Dag) and config.test.p != p:
         raise ValueError(
             f"the oracle graph has {config.test.p} nodes but the data has {p} columns"
@@ -391,7 +392,7 @@ def pc_segments(
         reachable = config.max_cond_size if config.max_cond_size is not None else max(p - 2, 0)
         if reachable > largest:
             search = replace(config, max_cond_size=largest)
-    for ci, level0 in _answerers(values, starts, length, config.test):
+    for ci, level0 in _answerers(segments, config.test):
         asked: list[Decision] = []
         skeleton, seps = find_skeleton(ci, p, search, asked, level0)
         diagnostics: list[str] = []

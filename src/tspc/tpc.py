@@ -196,7 +196,8 @@ def tpcns(data: DataMatrix, config: TpcnsConfig) -> TpcnsResult:
     starts = rng.integers(0, chi.n - config.window_length + 1, size=config.num_subsamples)
     counts: dict[tuple[int, int], int] = {}
     notes: dict[str, int] = {}
-    for result in pc_segments(chi.values, starts, config.window_length, config.pc):
+    segments = [chi.values[s:s + config.window_length] for s in starts]
+    for result in pc_segments(segments, config.pc):
         rolled = roll(forward_time(result.pdag, p), p, config.window.tau)
         for edge in rolled.edges:
             counts[edge] = counts.get(edge, 0) + 1

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tspc.citests import (
-    CiOutcome, CiQuery, CiTestError, GaussianCiConfig, HsicConfig, gaussian_ci_tests,
-)
+from tspc.citests import CiOutcome, CiQuery, CiTestError, GaussianCiConfig, HsicConfig
+from tspc.citests.gaussian import gaussian_ci_tests
 from tspc.graphs import Dag, Pdag, d_separated, roll
 from tspc.pc import (
     CiQueryError,
@@ -22,6 +21,7 @@ from tspc.pc import (
     oracle_ci,
     orient,
     pc,
+    pc_segments,
     sepset_key,
 )
 from tspc.rng import derive_seed, make_generator
@@ -358,6 +358,13 @@ class TestSamplePc:
         with pytest.raises(ValueError, match=f"3 nodes but the data has {p} columns"):
             pc(np.zeros((10, p)), PcConfig(truth))
 
+    @pytest.mark.parametrize("shape", [(10, 4), (9, 3)])
+    def test_segments_must_share_one_shape(self, shape):
+        # the search reads n and p off the first segment
+        segments = [np.zeros((10, 3)), np.ones(shape)]
+        with pytest.raises(ValueError, match=r"the shape \(10, 3\) of the first"):
+            next(pc_segments(segments, PcConfig(HsicConfig(gamma=0.1))))
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10**6))
     def test_stable_skeleton_ignores_column_order(self, seed):
@@ -396,7 +403,7 @@ class TestDecisionLog:
         config = PcConfig(GaussianCiConfig(alpha=0.05))
         decisions = pc(values, config).decisions
         pairs: list = []
-        ci, _ = next(gaussian_ci_tests(values, (0,), 40, config.test))
+        ci, _ = next(gaussian_ci_tests([values], config.test))
         find_skeleton(ci, 5, config, pairs)
         assert max(len(q.k) for q, _ in pairs) >= 1
         assert decisions == tuple(pairs) and tuple(pairs) == decisions
