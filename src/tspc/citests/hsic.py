@@ -64,6 +64,7 @@ from .bootstrap import BootstrapConfig, stationary_bootstrap_threshold
 
 __all__ = [
     "CALIBRATION_MIN_ROWS",
+    "KERNEL_MIN_ROWS",
     "ColumnFactors",
     "HsicConfig",
     "column_factors",
@@ -102,6 +103,9 @@ _GATHER_PER_ROW = 32
 # threshold at 50 rows.
 _SELECT_COLUMNS = 8
 
+# The statistic's row minimum, counted after the row cap.
+KERNEL_MIN_ROWS = 4
+
 # pair_gamma's row minimum: ten bootstrap rows per block of at least 2 rows.
 CALIBRATION_MIN_ROWS = 20
 
@@ -121,8 +125,8 @@ class HsicConfig:
     def __post_init__(self) -> None:
         if self.gamma is not None and not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.max_rows is not None and self.max_rows < 4:
-            raise ValueError(f"max_rows must be at least 4, got {self.max_rows}")
+        if self.max_rows is not None and self.max_rows < KERNEL_MIN_ROWS:
+            raise ValueError(f"max_rows must be at least {KERNEL_MIN_ROWS}, got {self.max_rows}")
 
 
 def _as_block(samples: np.ndarray) -> np.ndarray:
@@ -541,11 +545,11 @@ def _statistic(vx: np.ndarray, vy: np.ndarray, vz: np.ndarray | None) -> float:
 
 
 def _checked_rows(values: np.ndarray, config: HsicConfig) -> np.ndarray:
-    """values capped at config.max_rows rows, then check_kernel_range and the 4-row minimum."""
+    """values capped at config.max_rows rows, then check_kernel_range and KERNEL_MIN_ROWS."""
     rows = _cap_rows(np.asarray(values, dtype=np.float64), config)
     check_kernel_range(rows)
-    if len(rows) < 4:
-        raise ValueError(f"need at least 4 rows, got {len(rows)}")
+    if len(rows) < KERNEL_MIN_ROWS:
+        raise ValueError(f"need at least {KERNEL_MIN_ROWS} rows, got {len(rows)}")
     return rows
 
 
@@ -553,7 +557,7 @@ class ColumnFactors:
     """The statistic for queries (i, j | k) on the columns of one sample.
 
     Rows are capped once, to the strided subset of config.max_rows rows, and
-    pass check_kernel_range before the 4-row minimum applies.  Every single
+    pass check_kernel_range before KERNEL_MIN_ROWS applies.  Every single
     column is factored at construction and kept for the life of the object:
     those are the unconditional endpoints and the one-column conditioning
     sets a search asks for again and again.  A block of two or more columns

@@ -58,13 +58,13 @@ class SweepConfig:
     n is the series length handed to the generator (total milliseconds for
     CTRNN).  tau and stride set the windows of the TPC methods; PC and PCHS
     always search at depth 1 and stride 1.  hsic_max_rows caps the rows any
-    single kernel test sees; None lifts the cap.  Calibration sees the same
-    cap and needs CALIBRATION_MIN_ROWS rows, so any kernel (*HS) method
-    needs a cap of at least that.  Construction also rejects a series too
-    short for a method's window, subsample settings TpcnsConfig refuses,
-    and a Fisher-z method (PC, TPCS or TPCNS, always at level alpha) that
-    would search fewer than FISHER_Z_MIN_ROWS rows, so a bad sweep fails
-    before its first cell.
+    single kernel test sees; None lifts the cap.  Construction rejects a
+    series too short for a method's window, subsample settings TpcnsConfig
+    refuses, a Fisher-z method (PC, TPCS or TPCNS, always at level alpha)
+    that would search fewer than FISHER_Z_MIN_ROWS rows, and a kernel (*HS)
+    method whose calibration would see fewer than CALIBRATION_MIN_ROWS: it
+    sees the rows the search sees, capped at hsic_max_rows.  So a bad sweep
+    fails before its first cell.
     """
 
     paradigm: str
@@ -113,13 +113,6 @@ class SweepConfig:
                              f"got {self.calibration_replicates}")
         if not self.calibration_block > 1.0:
             raise ValueError(f"calibration_block must exceed 1, got {self.calibration_block}")
-        if "TPCNSHS" in methods and self.window_length < CALIBRATION_MIN_ROWS:
-            raise ValueError(f"TPCNSHS calibrates on window_length rows, at least "
-                             f"{CALIBRATION_MIN_ROWS}; got window_length={self.window_length}")
-        kernel = [m for m in methods if m.endswith("HS")]
-        if kernel and self.hsic_max_rows is not None and self.hsic_max_rows < CALIBRATION_MIN_ROWS:
-            raise ValueError(f"{kernel[0]} calibrates on at most hsic_max_rows rows, at least "
-                             f"{CALIBRATION_MIN_ROWS}; got hsic_max_rows={self.hsic_max_rows}")
         # What a cell would reject, rejected before any cell runs; eta does
         # not change the row count.
         rows = SimConfig(self.paradigm, n=self.n).rows
@@ -130,8 +123,15 @@ class SweepConfig:
             window, length = _search_window(m, self)
             count = unrolled_rows(rows, window, length)
             searched = count if length is None else length
-            if not m.endswith("HS") and searched < FISHER_Z_MIN_ROWS:
-                named = f" (window_length={length})" if length else ""
+            named = f" (window_length={length})" if length else ""
+            if m.endswith("HS"):
+                # Calibration sees the rows the search sees, capped as each test is.
+                if self.hsic_max_rows is not None and self.hsic_max_rows < searched:
+                    searched, named = self.hsic_max_rows, f" (hsic_max_rows={self.hsic_max_rows})"
+                if searched < CALIBRATION_MIN_ROWS:
+                    raise ValueError(f"{m} calibrates on {searched} rows{named}; the kernel "
+                                     f"threshold needs at least {CALIBRATION_MIN_ROWS}")
+            elif searched < FISHER_Z_MIN_ROWS:
                 raise ValueError(f"{m} searches {searched} rows{named}; the Fisher-z test at "
                                  f"level alpha needs at least {FISHER_Z_MIN_ROWS}")
 

@@ -10,8 +10,9 @@ The subsampled variant runs the search on many short contiguous stretches of
 the unrolled sample and keeps the edges that recur: averaging over windows
 trades single-run power for robustness against nonstationarity and slow
 mixing, which is the regime long dependent series live in.  The stretches
-are searched as one batch (pc.pc_segments), with the results and the
-errors of searching each one alone, in turn.
+are sliced once, as views of the unrolled sample, and searched as one batch
+(pc.pc_segments), with the results and the errors of searching each one
+alone, in turn.
 """
 
 from __future__ import annotations

@@ -1,10 +1,16 @@
 """End-to-end command surface: exit codes, emitted files, replayability."""
 
+import contextlib
+import io
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tspc import cli
 from tspc.citests import BootstrapConfig, decoupled_pair_gamma
@@ -318,6 +324,23 @@ class TestDiscover:
         assert main(["discover", *flags, "--gamma", "1e6", "--in", str(src),
                      "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("flags,rows,message", [
+        (["--method", "tpcns", "--L", "3"], 60, "got --L 3"),
+        (["--method", "pc"], 3, "got 3 rows to search"),
+    ])
+    def test_too_few_rows_for_the_kernel_test_is_usage_error(self, tmp_path, capsys, flags,
+                                                             rows, message):
+        # at a fixed --gamma no calibration runs to reject them first
+        src = tmp_path / "short.csv"
+        write_csv(DataMatrix(np.random.default_rng(1006).normal(size=(rows, 3))), src)
+        out = tmp_path / "o"
+        rc = main(["discover", *flags, "--test", "hsic", "--gamma", "0.1", "--in", str(src),
+                   "--out", str(out)])
+        assert rc == 2
+        assert f"error: the kernel test needs at least 4 rows, {message}" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("test", ["gaussian", "hsic"])
     @pytest.mark.parametrize("flags,message", [
         (["--L", "1"], "window length must be at least 2, got 1"),
@@ -578,6 +601,43 @@ class TestDiscover:
         assert (out / "graph_edges.csv").read_text().splitlines() == ["from,to,kind"]
 
 
+class TestRowFloors:
+    """Every discover run on a short sample ends in a graph, a usage error or a named query."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10**6),
+        rows=st.integers(2, 30),
+        columns=st.integers(2, 4),
+        method=st.sampled_from(["pc", "tpcs", "tpcns"]),
+        tau=st.integers(1, 2),
+        stride=st.integers(1, 2),
+        length=st.integers(2, 10),
+        test=st.sampled_from([
+            ["--test", "gaussian"],
+            ["--test", "gaussian", "--gamma", "0.1"],
+            ["--test", "hsic", "--gamma", "0.1"],
+        ]),
+    )
+    def test_short_samples_end_in_one_of_three_ways(self, seed, rows, columns, method, tau,
+                                                    stride, length, test):
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out = Path(tmp) / "data.csv", Path(tmp) / "o"
+            values = np.random.default_rng(seed).normal(size=(rows, columns))
+            write_csv(DataMatrix(values), src)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(["discover", "--method", method, *test, "--tau", str(tau),
+                           "--stride", str(stride), "--L", str(length), "--subsamples", "3",
+                           "--in", str(src), "--out", str(out)])
+            if rc == 0:
+                assert (out / "graph.json").exists()
+            elif rc == 2:
+                assert not out.exists()
+            else:
+                assert rc == 1 and "error: CI test failed for query (" in err.getvalue()
+
+
 class TestEvaluate:
     def test_perfect_recovery_row(self, tmp_path, capsys):
         est = tmp_path / "est.json"
@@ -705,6 +765,10 @@ class TestReproduce:
          "the Fisher-z test at level alpha needs at least 4"),
         (["--methods", "PC", "--n", "3"], "PC searches 3 rows"),
         (["--methods", "TPCS", "--n", "7"], "TPCS searches 3 rows"),
+        # the unrolled rows bind below the row cap, for TPCS and for PC
+        (["--methods", "PC,TPCSHS", "--n", "30"], "TPCSHS calibrates on 15 rows; the kernel "
+         "threshold needs at least 20"),
+        (["--methods", "PC,PCHS", "--n", "15"], "PCHS calibrates on 15 rows"),
     ])
     def test_bad_sweep_is_usage_error_before_any_cell(
         self, tmp_path, capsys, monkeypatch, flags, message

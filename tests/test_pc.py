@@ -351,6 +351,11 @@ class TestSamplePc:
             PcConfig(HsicConfig())
         PcConfig(HsicConfig(gamma=0.1))
 
+    @pytest.mark.parametrize("test", [GaussianCiConfig(alpha=0.05), HsicConfig(gamma=0.1),
+                                      MOTIF])
+    def test_empty_batch_yields_nothing(self, test):
+        assert list(pc_segments([], PcConfig(test))) == []
+
     @pytest.mark.parametrize("truth,p", [(Dag(3), 4), (Dag(3, {(0, 2), (2, 1)}), 2)])
     def test_oracle_graph_must_match_data_width(self, truth, p):
         # a wider graph used to fail deep in d_separated, a narrower one to
