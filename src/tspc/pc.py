@@ -26,17 +26,17 @@ The CI answerers of all segments are built as one batch: for Fisher-z one
 stacked covariance pass and a table of level-0 statistics per segment, for
 the kernel test one stream of single-column factors.  Each segment is then
 searched and oriented alone, bit for bit as if it were searched alone.
-Its decision log (DecisionLog) holds the level-0 table and the pairs the
-answerer was asked, and reads as the log the query-by-query loop writes;
-the table's pairs are built only when the log is read, so a caller that
-never reads it, as TPC-NS does not, never builds them.
+Its result keeps the level-0 table and the pairs the answerer was asked;
+its decisions, the tuple the query-by-query loop logs, are built from them
+only when read, so a caller that never reads them, as TPC-NS does not,
+never builds the table's pairs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping
@@ -58,7 +58,6 @@ from .graphs import Dag, Pdag, d_separated, meek_closure
 
 __all__ = [
     "CiQueryError",
-    "DecisionLog",
     "PcConfig",
     "PcResult",
     "SepSets",
@@ -127,49 +126,27 @@ class PcConfig:
 Decision = tuple[CiQuery, CiOutcome]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class DecisionLog(Sequence):
-    """A search's (query, outcome) pairs, in the order the search decided them.
-
-    It reads as the tuple of the level-0 table's pairs, if level 0 was
-    decided from one, then the pairs asked of the answerer: len, indexing,
-    iteration and == (against another log or a tuple) behave as on that
-    tuple.  The table's pairs are built when the log is first read, so a
-    log that is never read never builds them.
-    """
-
-    level0: Level0 | None
-    asked: tuple[Decision, ...]
-
-    @cached_property
-    def _pairs(self) -> tuple[Decision, ...]:
-        table = _table_log(*self.level0) if self.level0 is not None else ()
-        return (*table, *self.asked)
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __getitem__(self, index):
-        return self._pairs[index]
-
-    def __iter__(self) -> Iterator[Decision]:
-        return iter(self._pairs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, DecisionLog):
-            other = other._pairs
-        return self._pairs == other
-
-    def __repr__(self) -> str:
-        return f"DecisionLog({self._pairs!r})"
-
-
 @dataclass(frozen=True)
 class PcResult:
+    """A search's graph, separating sets and diagnostics, and its CI decisions.
+
+    asked holds the (query, outcome) pairs the answerer was asked, in order;
+    level0 is the Fisher-z table the search decided level 0 from, if any.
+    decisions is the tuple of the table's pairs, then the asked ones, built
+    when first read, so a result whose log is never read never builds the
+    table's pairs.
+    """
+
     pdag: Pdag
     sepsets: SepSets
-    decisions: DecisionLog
+    asked: tuple[Decision, ...]
     diagnostics: tuple[str, ...]
+    level0: Level0 | None = field(default=None, repr=False)
+
+    @cached_property
+    def decisions(self) -> tuple[Decision, ...]:
+        table = _table_log(*self.level0) if self.level0 is not None else ()
+        return (*table, *self.asked)
 
 
 def find_skeleton(
@@ -191,8 +168,8 @@ def find_skeleton(
     level0, when given, is a table of the statistics ci would give every
     (i, j | {}), with their threshold, as gaussian_ci_tests yields beside
     each answerer.  Level 0 is then decided from the table in one step and
-    asks ci nothing, and DecisionLog(level0, log) reads as the log of the
-    query-by-query level.
+    asks ci nothing, and the table's pairs (PcResult.decisions) followed by
+    log are the log of the query-by-query level.
     """
     if p < 1:
         raise ValueError(f"need at least one node, got p={p}")
@@ -405,7 +382,7 @@ def pc_segments(segments: Sequence[np.ndarray], config: PcConfig = PcConfig()
                     f"and the sample has {n} rows"
                 )
         pdag = orient(skeleton, seps, diagnostics)
-        yield PcResult(pdag, seps, DecisionLog(level0, tuple(asked)), tuple(diagnostics))
+        yield PcResult(pdag, seps, tuple(asked), tuple(diagnostics), level0)
 
 
 def decisions_to_csv(decisions: Iterable[tuple[CiQuery, CiOutcome]]) -> str:

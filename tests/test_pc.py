@@ -417,6 +417,9 @@ class TestDecisionLog:
                                                                  tuple(pairs[2:5]))
         assert list(decisions) == pairs
         assert decisions_to_csv(decisions) == decisions_to_csv(pairs)
+        assert type(decisions) is tuple
+        assert hash(decisions) == hash(tuple(pairs))
+        assert decisions + () == tuple(pairs)
 
     def test_an_unread_log_builds_no_level_0_queries(self, monkeypatch):
         # a gamma no statistic reaches removes every edge at level 0, so the
