@@ -13,6 +13,7 @@ state which one they used.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,30 +76,22 @@ def confusion(est: RolledGraph, truth: RolledGraph, include_self_loops: bool = T
     if est.p != truth.p:
         raise ValueError(f"graphs disagree on p: {est.p} vs {truth.p}")
     p = est.p
-    tp = fp = tn = fn = 0
-    for u in range(p):
-        for v in range(p):
-            if u == v and not include_self_loops:
-                continue
-            in_est = (u, v) in est.edges
-            in_truth = (u, v) in truth.edges
-            if in_est and in_truth:
-                tp += 1
-            elif in_est:
-                fp += 1
-            elif in_truth:
-                fn += 1
-            else:
-                tn += 1
-    return EdgeConfusion(tp, fp, tn, fn)
+    est_edges, true_edges = est.edges, truth.edges
+    universe = p * p
+    if not include_self_loops:
+        est_edges = {(u, v) for u, v in est_edges if u != v}
+        true_edges = {(u, v) for u, v in true_edges if u != v}
+        universe -= p
+    tp = len(est_edges & true_edges)
+    fp = len(est_edges) - tp
+    fn = len(true_edges) - tp
+    return EdgeConfusion(tp, fp, universe - tp - fp - fn, fn)
 
 
 def metrics(c: EdgeConfusion, tpr_mode: str = "condition-positives") -> MetricsReport:
     """Rates from counts: IFPR = (1 - FP/(FP+TN)) * 100, FPR its complement,
     TPR by the selected convention, CS = TPR - FPR.
     """
-    if tpr_mode not in TPR_MODES:
-        raise ValueError(f"tpr_mode must be one of {TPR_MODES}, got {tpr_mode!r}")
     negatives = c.fp + c.tn
     if negatives > 0:
         fpr = 100.0 * c.fp / negatives
@@ -135,10 +128,5 @@ def edge_frequency(runs: Sequence[RolledGraph], p: int) -> dict[tuple[int, int],
     for g in runs:
         if g.p != p:
             raise ValueError(f"run has p={g.p}, expected {p}")
-    total = len(runs)
-    out: dict[tuple[int, int], float] = {}
-    for u in range(p):
-        for v in range(p):
-            count = sum(1 for g in runs if (u, v) in g.edges)
-            out[(u, v)] = 100.0 * count / total
-    return out
+    counts = Counter(e for g in runs for e in g.edges)
+    return {(u, v): 100.0 * counts[(u, v)] / len(runs) for u in range(p) for v in range(p)}

@@ -161,7 +161,7 @@ def is_acyclic(p: int, edges: Iterable[Edge]) -> bool:
 
 def ancestors(g: Dag, nodes: Iterable[int] | int) -> set[int]:
     """Ancestors of a node set, including the set itself (``v`` is its own ancestor)."""
-    targets = {nodes} if isinstance(nodes, int) else set(nodes)
+    targets = _as_set(nodes)
     for v in targets:
         _check_node(g.p, v)
     parents: dict[int, set[int]] = {v: set() for v in range(g.p)}
@@ -329,9 +329,7 @@ def roll(g: Pdag | Dag, p: int, tau: int) -> RolledGraph:
 
 def _edge_lists(g: Dag | Pdag | RolledGraph) -> tuple[list[Edge], list[Edge]]:
     """(directed, undirected) edge lists, sorted, 0-based."""
-    if isinstance(g, Dag):
-        return sorted(g.edges), []
-    if isinstance(g, RolledGraph):
+    if isinstance(g, (Dag, RolledGraph)):
         return sorted(g.edges), []
     if isinstance(g, Pdag):
         return sorted(g.directed), sorted(g.undirected)

@@ -43,6 +43,32 @@ def ancestors_oracle(g: Dag, nodes) -> set[int]:
     return out
 
 
+def confusion_loop(est: RolledGraph, truth: RolledGraph,
+                   include_self_loops: bool = True) -> tuple[int, int, int, int]:
+    """(tp, fp, tn, fn) of confusion, one ordered pair of the universe at a time."""
+    tp = fp = tn = fn = 0
+    for u in range(est.p):
+        for v in range(est.p):
+            if u == v and not include_self_loops:
+                continue
+            in_est, in_truth = (u, v) in est.edges, (u, v) in truth.edges
+            if in_est and in_truth:
+                tp += 1
+            elif in_est:
+                fp += 1
+            elif in_truth:
+                fn += 1
+            else:
+                tn += 1
+    return tp, fp, tn, fn
+
+
+def edge_frequency_loop(runs: list[RolledGraph], p: int) -> dict[tuple[int, int], float]:
+    """edge_frequency, counting each ordered pair over the runs in turn."""
+    return {(u, v): 100.0 * sum(1 for g in runs if (u, v) in g.edges) / len(runs)
+            for u in range(p) for v in range(p)}
+
+
 def _path_active(g: Dag, path: list[int], cond: set[int], anc_cond: set[int]) -> bool:
     for m in range(1, len(path) - 1):
         prev, node, nxt = path[m - 1], path[m], path[m + 1]

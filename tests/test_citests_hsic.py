@@ -55,13 +55,7 @@ def null_calibrated_gamma(n: int, cal_seed: int, boot_seed: int,
     """
     rng = make_generator(cal_seed)
     cal = np.column_stack([rng.normal(size=n), rng.normal(size=n)])
-
-    return stationary_bootstrap_threshold(
-        cal,
-        resample_statistics,
-        BootstrapConfig(num_replicates=num_replicates, expected_block_length=block,
-                        quantile=0.95, seed=boot_seed),
-    )
+    return pair_gamma(cal, BootstrapConfig(num_replicates, block, 0.95, boot_seed))
 
 
 class TestCenteredGram:

@@ -14,6 +14,8 @@ from tspc.evaluate import (
 from tspc.graphs import RolledGraph
 from tspc.rng import derive_seed, make_generator
 
+from .oracles import confusion_loop, edge_frequency_loop
+
 MOTIF = RolledGraph(4, frozenset({(0, 2), (1, 2), (2, 3)}))
 
 
@@ -67,6 +69,7 @@ class TestConfusion:
         assert c.tp + c.fn == sum(
             1 for (u, v) in truth.edges if loops or u != v
         )
+        assert (c.tp, c.fp, c.tn, c.fn) == confusion_loop(est, truth, loops)
 
 
 class TestMetrics:
@@ -173,6 +176,14 @@ class TestEdgeFrequency:
         assert freq[(3, 3)] == 0.0
         # the whole 16-pair universe is present, zeros included
         assert len(freq) == 16
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_equals_pair_by_pair_loop(self, seed):
+        rng = make_generator(derive_seed(9710, seed))
+        p = int(rng.integers(1, 6))
+        runs = [random_rolled(rng, p) for _ in range(int(rng.integers(1, 8)))]
+        assert edge_frequency(runs, p) == edge_frequency_loop(runs, p)
 
     def test_rejects_p_mismatch(self):
         with pytest.raises(ValueError, match="p="):
