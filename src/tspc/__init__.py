@@ -21,7 +21,7 @@ from .graphs import Dag, Pdag, RolledGraph, graph_from_json, roll, to_dot, to_js
 from .pc import PcConfig, PcResult, pc
 from .reproduce import SweepConfig, run_sweep, write_outputs
 from .simulate import PARADIGMS, SimConfig, generate, ground_truth
-from .tpc import TpcResult, TpcnsConfig, TpcnsResult, WindowConfig, tpc, tpcns
+from .tpc import Method, TpcResult, TpcnsConfig, TpcnsResult, WindowConfig, tpc, tpcns
 
 __version__ = "0.1.0"
 
@@ -45,6 +45,7 @@ __all__ = [
     "PcResult",
     "pc",
     "WindowConfig",
+    "Method",
     "TpcResult",
     "TpcnsConfig",
     "TpcnsResult",

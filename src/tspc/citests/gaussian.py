@@ -97,10 +97,10 @@ class CovMatrix:
 class GaussianCiConfig:
     """Threshold policy: exactly one of alpha (level) or gamma (fixed cut).
 
-    alpha mode derives the cut Phi^{-1}(1 - alpha) / sqrt(n - |k| - 3) from
-    the sample and conditioning sizes, computing the normal quantile once per
-    alpha; gamma mode compares |z| against the same constant everywhere,
-    which is the regime the consistency guarantees speak about.
+    alpha mode cuts |z| at Phi^{-1}(1 - alpha) / sqrt(n - |k| - 3), a one-sided
+    quantile (computed once per alpha) for a two-sided |z|, so an i.i.d. independent
+    pair is rejected at about 2 alpha (Kalisch and Bühlmann, JMLR 2007, use alpha / 2).
+    gamma mode compares |z| against one constant, as the consistency results do.
     """
 
     alpha: float | None = None

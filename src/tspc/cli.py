@@ -22,28 +22,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .citests import BootstrapConfig, GaussianCiConfig, HsicConfig, decoupled_pair_gamma
-from .citests.gaussian import FISHER_Z_MIN_ROWS
-from .citests.hsic import KERNEL_MIN_ROWS
-from .data import DataMatrix, ingest_csv, write_csv, write_text_atomic
+from .citests import GaussianCiConfig, HsicConfig, decoupled_pair_gamma
+from .data import ingest_csv, write_csv, write_text_atomic
 from .graphs import Dag, Pdag, RolledGraph, graph_from_json, roll, to_dot, to_json
 from .pc import PcConfig, decisions_to_csv
 from .evaluate import TPR_MODES, confusion, metrics
 from .reproduce import METHODS, SweepConfig, run_sweep, write_outputs
-from .rng import STREAM_CALIBRATE, STREAM_SUBSAMPLE, derive_seed
 from .simulate import PARADIGMS, SimConfig, generate
-from .tpc import (
-    TpcnsConfig,
-    WindowConfig,
-    calibration_rows,
-    frequencies_to_csv,
-    tpc,
-    tpcns,
-    unrolled_rows,
-)
+from .tpc import Method, TpcnsResult, check_spread, frequencies_to_csv
 
 __all__ = ["main"]
 
@@ -288,44 +276,6 @@ def _run_simulate(args: argparse.Namespace) -> None:
     print(f"wrote {out / 'data.csv'} ({data.n} rows x {data.p} columns)")
 
 
-def _discover_pc_config(
-    args: argparse.Namespace, data: DataMatrix, window: WindowConfig
-) -> PcConfig:
-    # Checked once for every test, before a kernel calibration turns alpha
-    # into a bootstrap quantile.
-    if args.gamma is None and not 0.0 < args.alpha < 1.0:
-        raise CliError(f"alpha must lie in (0, 1), got {args.alpha}")
-    try:
-        if args.test == "gaussian":
-            alpha = args.alpha if args.gamma is None else None
-            test = GaussianCiConfig(alpha=alpha, gamma=args.gamma)
-        elif args.test == "hsic":
-            gamma = args.gamma
-            if gamma is None:
-                # One threshold per run, from a decoupled surrogate pair: a
-                # bootstrap quantile taken on the pair under test would track
-                # the very dependence being tested and so could never flag an
-                # edge.
-                gamma = decoupled_pair_gamma(
-                    calibration_rows(data, window, args.L if args.method == "tpcns" else None),
-                    BootstrapConfig(
-                        num_replicates=args.bootstrap_replicates,
-                        expected_block_length=args.block_length,
-                        quantile=1.0 - args.alpha,
-                        seed=derive_seed(args.seed, STREAM_CALIBRATE),
-                    ),
-                    HsicConfig(max_rows=args.max_rows),
-                )
-            test = HsicConfig(gamma=gamma, max_rows=args.max_rows)
-        else:
-            if args.truth is None:
-                raise CliError("the oracle test requires --truth")
-            test = _load_truth_dag(args.truth, data.p * window.tau)
-        return PcConfig(test, max_cond_size=args.max_cond_size, stable=args.stable)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def _run_discover(args: argparse.Namespace) -> None:
     if args.method is None:
         raise CliError("--method is required (or use --profile)")
@@ -335,58 +285,51 @@ def _run_discover(args: argparse.Namespace) -> None:
         raise CliError(f"unknown formats {sorted(bad)}; choose from {_FORMATS}")
     if not formats:
         raise CliError("need at least one output format")
+    # Every check of the run, the kernel calibration included, precedes any output.
     try:
         data = ingest_csv(args.input)
+        method = Method(args.method, args.tau, args.stride, args.L, args.subsamples, args.cutoff,
+                        args.alpha, args.bootstrap_replicates, args.block_length, (args.seed,))
+        test = None
+        if args.test == "gaussian":
+            test = GaussianCiConfig(args.alpha if args.gamma is None else None, args.gamma)
+        elif args.test == "hsic":
+            test = HsicConfig(args.gamma, args.max_rows)
+        method.check(data.n, test, {"window_length": f"--L {args.L}",
+                                    "max_rows": f"--max-rows {args.max_rows}",
+                                    "window": f"--tau {args.tau} --stride {args.stride}"})
+        if test is None:
+            if args.truth is None:
+                raise CliError("the oracle test requires --truth")
+            test = _load_truth_dag(args.truth, data.p * method.window.tau)
+        else:
+            check_spread(data)
+        # No pair is known to be independent, so a decoupled surrogate pair.
+        test = method.calibrate(data, test, decoupled_pair_gamma)
+        pc_cfg = PcConfig(test, max_cond_size=args.max_cond_size, stable=args.stable)
     except (FileNotFoundError, ValueError) as exc:
         raise CliError(str(exc)) from exc
-    # Bad subsample settings, a window the data cannot fill and too few rows
-    # for Fisher-z at level alpha or for the kernel test are usage errors,
-    # found before a kernel calibration runs or any output is written.
-    try:
-        window = (WindowConfig(tau=1, r=1) if args.method == "pc"
-                  else WindowConfig(tau=args.tau, r=args.stride))
-        if args.method == "tpcns":
-            tcfg = TpcnsConfig(
-                window_length=args.L,
-                num_subsamples=args.subsamples,
-                freq_cutoff=args.cutoff,
-                window=window,
-                seed=derive_seed(args.seed, STREAM_SUBSAMPLE),
-            )
-        rows = unrolled_rows(data.n, window, args.L if args.method == "tpcns" else None)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    searched = args.L if args.method == "tpcns" else rows
-    got = f"--L {args.L}" if args.method == "tpcns" else f"{rows} rows to search"
-    if args.test == "gaussian" and args.gamma is None and searched < FISHER_Z_MIN_ROWS:
-        raise CliError(f"the Fisher-z test at level alpha needs at least "
-                       f"{FISHER_Z_MIN_ROWS} rows, got {got}")
-    if args.test == "hsic" and searched < KERNEL_MIN_ROWS:
-        raise CliError(f"the kernel test needs at least {KERNEL_MIN_ROWS} rows, got {got}")
-    pc_cfg = _discover_pc_config(args, data, window)
     out = _prepare_out(args)
 
-    if args.method == "tpcns":
-        result = tpcns(data, replace(tcfg, pc=pc_cfg))
-        _emit_graph(out, "graph", result.graph, formats)
+    rolled, result = method.run(data, pc_cfg)
+    if isinstance(result, TpcnsResult):
+        _emit_graph(out, "graph", rolled, formats)
         write_text_atomic(out / "frequencies.csv", frequencies_to_csv(result.frequencies))
         diagnostics = result.diagnostics
-        summary = f"wrote rolled graph with {len(result.graph.edges)} edges to {out}"
     else:
-        result = tpc(data, window, pc_cfg)
         pdag = result.pc.pdag
         _emit_graph(out, "graph", pdag, formats)
         write_text_atomic(out / "decisions.csv", decisions_to_csv(result.pc.decisions))
         diagnostics = result.pc.diagnostics
-        if args.method == "tpcs":
-            _emit_graph(out, "rolled", result.rolled, formats)
-            summary = f"wrote rolled graph with {len(result.rolled.edges)} edges to {out}"
-        else:
-            summary = (f"wrote {out / 'graph.json' if 'json' in formats else out} "
-                       f"({len(pdag.directed)} directed, {len(pdag.undirected)} undirected)")
+    if args.method == "tpcs":
+        _emit_graph(out, "rolled", rolled, formats)
     for line in diagnostics:
         print(f"note: {line}", file=sys.stderr)
-    print(summary)
+    if args.method == "pc":
+        print(f"wrote {out / 'graph.json' if 'json' in formats else out} "
+              f"({len(pdag.directed)} directed, {len(pdag.undirected)} undirected)")
+    else:
+        print(f"wrote rolled graph with {len(rolled.edges)} edges to {out}")
 
 
 def _run_evaluate(args: argparse.Namespace) -> None:
@@ -468,11 +411,6 @@ def main(argv: list[str] | None = None) -> int:
                 args = parser.parse_args(argv)
             except SystemExit as exc:
                 return exc.code if isinstance(exc.code, int) else 2
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         _RUNNERS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

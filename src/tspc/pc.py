@@ -73,6 +73,8 @@ __all__ = [
 # Separating sets are keyed by the unordered pair, stored as (min, max).
 SepSets = dict[tuple[int, int], tuple[int, ...]]
 
+CiTest = GaussianCiConfig | HsicConfig | Dag
+
 
 def sepset_key(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
@@ -107,7 +109,7 @@ class PcConfig:
     depend on the order of the columns.
     """
 
-    test: GaussianCiConfig | HsicConfig | Dag = GaussianCiConfig(alpha=0.05)
+    test: CiTest = GaussianCiConfig(alpha=0.05)
     max_cond_size: int | None = None
     stable: bool = False
 
@@ -307,7 +309,7 @@ def oracle_ci(truth: Dag) -> Callable[[CiQuery], CiOutcome]:
 
 
 def _answerers(
-    segments: Sequence[np.ndarray], test: GaussianCiConfig | HsicConfig | Dag,
+    segments: Sequence[np.ndarray], test: CiTest,
 ) -> Iterator[tuple[Callable[[CiQuery], CiOutcome], Level0 | None]]:
     """The (answerer, level0) of each segment, built as one batch."""
     if isinstance(test, GaussianCiConfig):

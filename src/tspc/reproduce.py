@@ -25,16 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .citests import BootstrapConfig, GaussianCiConfig, HsicConfig, pair_gamma
-from .citests.gaussian import FISHER_Z_MIN_ROWS
-from .citests.hsic import CALIBRATION_MIN_ROWS
+from .citests import GaussianCiConfig, HsicConfig, pair_gamma
 from .data import DataMatrix, write_text_atomic
 from .evaluate import EdgeConfusion, MetricsReport, aggregate, confusion, edge_frequency, metrics
 from .graphs import RolledGraph
 from .pc import PcConfig
-from .rng import STREAM_CALIBRATE, STREAM_SUBSAMPLE, derive_seed
+from .rng import derive_seed
 from .simulate import PARADIGMS, SimConfig, generate, ground_truth
-from .tpc import TpcnsConfig, WindowConfig, calibration_rows, tpc, tpcns, unrolled_rows
+from .tpc import Method, WindowConfig
 
 __all__ = [
     "METHODS",
@@ -58,13 +56,8 @@ class SweepConfig:
     n is the series length handed to the generator (total milliseconds for
     CTRNN).  tau and stride set the windows of the TPC methods; PC and PCHS
     always search at depth 1 and stride 1.  hsic_max_rows caps the rows any
-    single kernel test sees; None lifts the cap.  Construction rejects a
-    series too short for a method's window, subsample settings TpcnsConfig
-    refuses, a Fisher-z method (PC, TPCS or TPCNS, always at level alpha)
-    that would search fewer than FISHER_Z_MIN_ROWS rows, and a kernel (*HS)
-    method whose calibration would see fewer than CALIBRATION_MIN_ROWS: it
-    sees the rows the search sees, capped at hsic_max_rows.  So a bad sweep
-    fails before its first cell.
+    single kernel test sees; None lifts the cap.  Construction runs
+    Method.check on every method, so a bad sweep fails before its first cell.
     """
 
     paradigm: str
@@ -117,23 +110,11 @@ class SweepConfig:
         # not change the row count.
         rows = SimConfig(self.paradigm, n=self.n).rows
         WindowConfig(self.tau, self.stride)  # checked even when only PC and PCHS run
-        if any(m.startswith("TPCNS") for m in methods):
-            TpcnsConfig(self.window_length, self.num_subsamples, self.freq_cutoff)
+        bounds = {"window_length": f"window_length={self.window_length}",
+                  "max_rows": f"hsic_max_rows={self.hsic_max_rows}"}
         for m in methods:
-            window, length = _search_window(m, self)
-            count = unrolled_rows(rows, window, length)
-            searched = count if length is None else length
-            named = f" (window_length={length})" if length else ""
-            if m.endswith("HS"):
-                # Calibration sees the rows the search sees, capped as each test is.
-                if self.hsic_max_rows is not None and self.hsic_max_rows < searched:
-                    searched, named = self.hsic_max_rows, f" (hsic_max_rows={self.hsic_max_rows})"
-                if searched < CALIBRATION_MIN_ROWS:
-                    raise ValueError(f"{m} calibrates on {searched} rows{named}; the kernel "
-                                     f"threshold needs at least {CALIBRATION_MIN_ROWS}")
-            elif searched < FISHER_Z_MIN_ROWS:
-                raise ValueError(f"{m} searches {searched} rows{named}; the Fisher-z test at "
-                                 f"level alpha needs at least {FISHER_Z_MIN_ROWS}")
+            method, test = _method(m, self, self.alphas[0], ())
+            method.check(rows, test, bounds)
 
 
 @dataclass(frozen=True)
@@ -155,49 +136,26 @@ class SweepResult:
     cells: tuple[CellResult, ...]
 
 
-def _search_window(method: str, cfg: SweepConfig) -> tuple[WindowConfig, int | None]:
-    """The window a method searches, and its TPC-NS subsample length (None for TPC)."""
-    window = WindowConfig(1, 1) if method.startswith("PC") else WindowConfig(cfg.tau, cfg.stride)
-    return window, cfg.window_length if method.startswith("TPCNS") else None
-
-
 def _eta_key(eta: float) -> int:
     return int(round(eta * 1000))
 
 
-def _estimate(
-    method: str,
-    data: DataMatrix,
-    alpha: float,
-    cfg: SweepConfig,
-    rep_key: tuple[int, ...],
-) -> RolledGraph:
-    """One method on one series; returns the estimated rolled graph."""
-    window, window_length = _search_window(method, cfg)
-    midx = METHODS.index(method)
-    if method.endswith("HS"):
-        rows = calibration_rows(data, window, window_length)
-        boot = BootstrapConfig(
-            num_replicates=cfg.calibration_replicates,
-            expected_block_length=cfg.calibration_block,
-            quantile=1.0 - alpha,
-            seed=derive_seed(*rep_key, midx, STREAM_CALIBRATE),
-        )
-        gamma = pair_gamma(rows[:, :2], boot, HsicConfig(max_rows=cfg.hsic_max_rows))
-        pc_cfg = PcConfig(HsicConfig(gamma=gamma, max_rows=cfg.hsic_max_rows))
-    else:
-        pc_cfg = PcConfig(GaussianCiConfig(alpha=alpha))
+def _method(name: str, cfg: SweepConfig, alpha: float,
+            key: tuple[int, ...]) -> tuple[Method, GaussianCiConfig | HsicConfig]:
+    """A method's run rule, and its test: the kernel test still to calibrate, or Fisher-z."""
+    test = HsicConfig(None, cfg.hsic_max_rows) if name.endswith("HS") else GaussianCiConfig(alpha)
+    return Method(name, cfg.tau, cfg.stride, cfg.window_length, cfg.num_subsamples,
+                  cfg.freq_cutoff, alpha, cfg.calibration_replicates, cfg.calibration_block,
+                  key), test
 
-    if window_length is None:
-        return tpc(data, window, pc_cfg).rolled
-    return tpcns(data, TpcnsConfig(
-        window_length=window_length,
-        num_subsamples=cfg.num_subsamples,
-        freq_cutoff=cfg.freq_cutoff,
-        pc=pc_cfg,
-        window=window,
-        seed=derive_seed(*rep_key, midx, STREAM_SUBSAMPLE),
-    )).graph
+
+def _estimate(method: str, data: DataMatrix, alpha: float, cfg: SweepConfig,
+              rep_key: tuple[int, ...]) -> RolledGraph:
+    """One method on one series; returns the estimated rolled graph."""
+    run, test = _method(method, cfg, alpha, (*rep_key, METHODS.index(method)))
+    # Columns 1 and 2 are the known independent pair.
+    test = run.calibrate(data, test, lambda rows, boot, hsic: pair_gamma(rows[:, :2], boot, hsic))
+    return run.run(data, PcConfig(test))[0]
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:

@@ -12,29 +12,33 @@ trades single-run power for robustness against nonstationarity and slow
 mixing, which is the regime long dependent series live in.  The stretches
 are sliced once, as views of the unrolled sample, and searched as one batch
 (pc.pc_segments), with the results and the errors of searching each one
-alone, in turn.
+alone, in turn.  Method is the one run rule of both front ends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass, field, replace
+from typing import Callable, Mapping
 
 import numpy as np
 
+from .citests import BootstrapConfig, GaussianCiConfig, HsicConfig
+from .citests.gaussian import FISHER_Z_MIN_ROWS
+from .citests.hsic import CALIBRATION_MIN_ROWS, KERNEL_MIN_ROWS
 from .data import DataMatrix
 from .graphs import Pdag, RolledGraph, roll, unrolled_time
-from .pc import PcConfig, PcResult, pc, pc_segments
-from .rng import make_generator
+from .pc import CiTest, PcConfig, PcResult, pc, pc_segments
+from .rng import STREAM_CALIBRATE, STREAM_SUBSAMPLE, derive_seed, make_generator
 
 __all__ = [
     "WindowConfig",
     "TpcResult",
     "TpcnsConfig",
     "TpcnsResult",
+    "Method",
+    "check_spread",
     "unroll",
     "unrolled_rows",
-    "calibration_rows",
     "tpc",
     "tpcns",
     "forward_time",
@@ -94,18 +98,6 @@ def unroll(data: DataMatrix, window: WindowConfig) -> DataMatrix:
         stop = offset + (count - 1) * window.r + 1
         out[:, p * offset:p * (offset + 1)] = data.values[offset:stop:window.r]
     return DataMatrix(out)
-
-
-def calibration_rows(
-    data: DataMatrix, window: WindowConfig, window_length: int | None = None
-) -> np.ndarray:
-    """The rows a search sees, for threshold calibration.
-
-    tpc searches the unrolled rows (the raw rows at the window (1, 1) of plain
-    PC); tpcns searches stretches of window_length of them, represented by the
-    first, so a calibrated threshold matches the row count it is applied at.
-    """
-    return unroll(data, window).values[:window_length]
 
 
 @dataclass(frozen=True)
@@ -216,6 +208,114 @@ def tpcns(data: DataMatrix, config: TpcnsConfig) -> TpcnsResult:
             for line, c in notes.items()
         ),
     )
+
+
+@dataclass(frozen=True)
+class Method:
+    """The run rule of pc, tpcs or tpcns, in any case and with an optional HS suffix.
+
+    pc searches the raw rows, tpcs windows of tau rows stride apart, and tpcns
+    votes over num_subsamples stretches of window_length of those.  key seeds
+    the subsamples and the calibration (replicates, block_length, 1 - alpha).
+    """
+
+    name: str
+    tau: int = 1
+    stride: int = 2
+    window_length: int = 50
+    num_subsamples: int = 50
+    freq_cutoff: float = 0.4
+    alpha: float = 0.05
+    replicates: int = 100
+    block_length: float = 20.0
+    key: tuple[int, ...] = (0,)
+
+    def __post_init__(self) -> None:
+        if self._family not in ("pc", "tpcs", "tpcns"):
+            raise ValueError(f"unknown method {self.name!r}; choose pc, tpcs or tpcns")
+        if self._family != "pc":
+            WindowConfig(self.tau, self.stride)
+        if self._length is not None:
+            TpcnsConfig(self.window_length, self.num_subsamples, self.freq_cutoff)
+
+    @property
+    def _family(self) -> str:
+        return self.name.lower().removesuffix("hs")
+
+    @property
+    def _length(self) -> int | None:
+        return self.window_length if self._family == "tpcns" else None
+
+    @property
+    def window(self) -> WindowConfig:
+        return WindowConfig(1, 1) if self._family == "pc" else WindowConfig(self.tau, self.stride)
+
+    def searched_rows(self, n: int) -> int:
+        """Rows one search sees out of n; a ValueError as unrolled_rows raises."""
+        count = unrolled_rows(n, self.window, self._length)
+        return count if self._length is None else self._length
+
+    def check(self, n: int, test: CiTest | None, bounds: Mapping[str, str] = {}) -> None:
+        """Raise ValueError unless the window fits n rows and the rows fit test.
+
+        Fisher-z at level alpha needs FISHER_Z_MIN_ROWS rows, the kernel test
+        KERNEL_MIN_ROWS, and its calibration CALIBRATION_MIN_ROWS after the
+        max_rows cap.  The message names the bound that binds as bounds names
+        it: window (tpcs), window_length (tpcns) or max_rows.  Unless test has
+        a fixed gamma, alpha must lie in (0, 1).
+        """
+        rows = self.searched_rows(n)
+        if getattr(test, "gamma", None) is None and not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        bound = bounds.get({"tpcs": "window", "tpcns": "window_length"}.get(self._family, ""))
+        if isinstance(test, HsicConfig):
+            if test.max_rows is not None and test.max_rows < rows:
+                rows, bound = test.max_rows, bounds.get("max_rows")
+            verb, what, floor = (("calibrates on", "the kernel threshold", CALIBRATION_MIN_ROWS)
+                                 if test.gamma is None
+                                 else ("searches", "the kernel test", KERNEL_MIN_ROWS))
+        elif isinstance(test, GaussianCiConfig) and test.alpha is not None:
+            verb, what, floor = "searches", "the Fisher-z test at level alpha", FISHER_Z_MIN_ROWS
+        else:
+            return
+        if rows < floor:
+            named = f" ({bound})" if bound else ""
+            raise ValueError(f"{self.name} {verb} {rows} rows{named}; "
+                             f"{what} needs at least {floor}")
+
+    def calibrate(self, data: DataMatrix, test: CiTest, pair: Callable[..., float]) -> CiTest:
+        """test with its kernel gamma, if unset, from pair (pair_gamma or decoupled_pair_gamma)
+        on the rows the search sees, the first window_length of them for tpcns."""
+        if not isinstance(test, HsicConfig) or test.gamma is not None:
+            return test
+        boot = BootstrapConfig(self.replicates, self.block_length, 1.0 - self.alpha,
+                               derive_seed(*self.key, STREAM_CALIBRATE))
+        rows = unroll(data, self.window).values[:self._length]
+        return replace(test, gamma=pair(rows, boot, test))
+
+    def run(self, data: DataMatrix,
+            config: PcConfig) -> tuple[RolledGraph, TpcResult | TpcnsResult]:
+        """The rolled graph, and the result of tpc, or of tpcns for tpcns."""
+        if self._length is None:
+            result = tpc(data, self.window, config)
+            return result.rolled, result
+        seed = derive_seed(*self.key, STREAM_SUBSAMPLE)
+        result = tpcns(data, TpcnsConfig(self.window_length, self.num_subsamples,
+                                         self.freq_cutoff, config, self.window, seed))
+        return result.graph, result
+
+
+def check_spread(data: DataMatrix) -> None:
+    """Name the columns (1-based) where a squared deviation from the mean
+    overflows: Fisher-z and the kernel test square them, so a search would fail."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = data.values.mean(axis=0)
+        spread = np.maximum(data.values.max(axis=0) - mean, mean - data.values.min(axis=0))
+        ok = np.isfinite(spread * spread)
+    if not ok.all():
+        bad = ", ".join(str(c + 1) for c in np.flatnonzero(~ok))
+        raise ValueError(f"column(s) {bad}: a squared deviation from the column mean "
+                         "overflows float64; rescale the data")
 
 
 def frequencies_to_csv(frequencies: Mapping[tuple[int, int], float]) -> str:

@@ -1,6 +1,7 @@
 """End-to-end command surface: exit codes, emitted files, replayability."""
 
 import contextlib
+import importlib
 import io
 import json
 import tempfile
@@ -18,9 +19,9 @@ from tspc.cli import main
 from tspc.data import DataMatrix, ingest_csv, write_csv
 from tspc.graphs import Pdag, RolledGraph, to_json
 from tspc.pc import PcConfig
-from tspc.reproduce import SweepConfig
+from tspc.reproduce import SweepConfig, run_sweep
 from tspc.rng import STREAM_CALIBRATE, STREAM_SUBSAMPLE, derive_seed
-from tspc.simulate import SimConfig, generate
+from tspc.simulate import PARADIGMS, SimConfig, generate
 from tspc.tpc import TpcnsConfig, WindowConfig, tpcns
 
 MOTIF_JSON = to_json(RolledGraph(4, frozenset({(0, 2), (1, 2), (2, 3)})))
@@ -195,22 +196,31 @@ class TestDiscover:
         assert record["type"] == "CiQueryError"
         assert "degenerate" in record["message"]
 
-    @pytest.mark.parametrize("column,code", [(4, 1), (1, 2)])
-    def test_overflowing_kernel_column_is_named(self, tmp_path, capsys, column, code):
-        # column 4 overflows in the search (a runtime error), column 1 in the
-        # calibration pair (a configuration error, like its other checks)
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    @pytest.mark.parametrize("test", ["gaussian", "hsic"])
+    @pytest.mark.parametrize("flags", [
+        ["--method", "pc"],
+        ["--method", "tpcs", "--tau", "2", "--stride", "1"],
+        ["--method", "tpcns", "--tau", "2", "--stride", "1", "--L", "25"],
+    ])
+    def test_overflowing_column_is_usage_error(self, tmp_path, capsys, flags, test, scale):
+        # a squared deviation of column 4 overflows float64; the covariance or
+        # the kernel distances of the search used to fail at run time (exit
+        # 1, leaving config.txt and error.json); the CSV column is named,
+        # not the unrolled one
         rng = np.random.default_rng(4)
         x = rng.normal(size=(60, 4))
-        x[:, column - 1] = 1e300 * rng.normal(size=60)
+        x[:, 3] *= scale
         src = tmp_path / "big.csv"
         write_csv(DataMatrix(x), src)
+        out = tmp_path / "o"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc = main(["discover", "--method", "pc", "--test", "hsic",
-                       "--bootstrap-replicates", "20", "--block-length", "5",
-                       "--in", str(src), "--out", str(tmp_path / "o")])
-        assert rc == code
-        assert f"kernel distances are not finite in column(s) {column}:" in capsys.readouterr().err
+            rc = main(["discover", *flags, "--test", test, "--in", str(src), "--out", str(out)])
+        assert rc == 2
+        assert ("error: column(s) 4: a squared deviation from the column mean overflows "
+                "float64") in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags,rows", [
         (["--method", "pc"], 60),
@@ -264,7 +274,7 @@ class TestDiscover:
         assert rc == 0
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("test", ["gaussian", "hsic"])
+    @pytest.mark.parametrize("test", ["gaussian", "hsic", "oracle"])
     @pytest.mark.parametrize("alpha", ["0", "1", "1.5"])
     def test_alpha_outside_unit_interval_is_usage_error(
         self, tmp_path, capsys, monkeypatch, test, alpha
@@ -305,9 +315,10 @@ class TestDiscover:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags,rows,message", [
-        (["--method", "tpcns", "--L", "3"], 60, "got --L 3"),
-        (["--method", "pc"], 3, "got 3 rows to search"),
-        (["--method", "tpcs", "--tau", "2", "--stride", "2"], 7, "got 3 rows to search"),
+        (["--method", "tpcns", "--L", "3"], 60, "tpcns searches 3 rows (--L 3)"),
+        (["--method", "pc"], 3, "pc searches 3 rows"),
+        (["--method", "tpcs", "--tau", "2", "--stride", "2"], 7,
+         "tpcs searches 3 rows (--tau 2 --stride 2)"),
     ])
     def test_too_few_rows_for_fisher_z_is_usage_error(self, tmp_path, capsys, flags, rows,
                                                       message):
@@ -318,15 +329,15 @@ class TestDiscover:
         out = tmp_path / "o"
         rc = main(["discover", *flags, "--in", str(src), "--out", str(out)])
         assert rc == 2
-        assert ("error: the Fisher-z test at level alpha needs at least 4 rows, "
-                f"{message}") in capsys.readouterr().err
+        assert (f"error: {message}; the Fisher-z test at level alpha needs at "
+                "least 4") in capsys.readouterr().err
         assert not out.exists()
         assert main(["discover", *flags, "--gamma", "1e6", "--in", str(src),
                      "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("flags,rows,message", [
-        (["--method", "tpcns", "--L", "3"], 60, "got --L 3"),
-        (["--method", "pc"], 3, "got 3 rows to search"),
+        (["--method", "tpcns", "--L", "3"], 60, "tpcns searches 3 rows (--L 3)"),
+        (["--method", "pc"], 3, "pc searches 3 rows"),
     ])
     def test_too_few_rows_for_the_kernel_test_is_usage_error(self, tmp_path, capsys, flags,
                                                              rows, message):
@@ -337,7 +348,7 @@ class TestDiscover:
         rc = main(["discover", *flags, "--test", "hsic", "--gamma", "0.1", "--in", str(src),
                    "--out", str(out)])
         assert rc == 2
-        assert f"error: the kernel test needs at least 4 rows, {message}" in (
+        assert f"error: {message}; the kernel test needs at least 4" in (
             capsys.readouterr().err)
         assert not out.exists()
 
@@ -433,7 +444,7 @@ class TestDiscover:
             results.append(tpcns(values, config))
             return results[-1]
 
-        monkeypatch.setattr(cli, "tpcns", recording_tpcns)
+        monkeypatch.setattr(importlib.import_module("tspc.tpc"), "tpcns", recording_tpcns)
         rc = main([
             "discover", "--method", "tpcns", "--tau", "2", "--stride", "2",
             "--subsamples", "5", "--seed", "4", "--in", str(data), "--out", str(tmp_path / "o"),
@@ -636,6 +647,49 @@ class TestRowFloors:
                 assert not out.exists()
             else:
                 assert rc == 1 and "error: CI test failed for query (" in err.getvalue()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--method", "tpcns", "--L", "10"], "tpcns calibrates on 10 rows (--L 10)"),
+        (["--method", "pc", "--max-rows", "10"], "pc calibrates on 10 rows (--max-rows 10)"),
+        (["--method", "tpcs", "--tau", "2", "--stride", "4"],
+         "tpcs calibrates on 15 rows (--tau 2 --stride 4)"),
+    ])
+    def test_kernel_calibration_floor_names_the_flag_that_binds(self, tmp_path, capsys, flags,
+                                                                message):
+        # the calibration used to reject these with "need at least 20 rows to
+        # calibrate, got 10", which named no flag
+        src = tmp_path / "rows60.csv"
+        write_csv(DataMatrix(np.random.default_rng(1006).normal(size=(60, 3))), src)
+        out = tmp_path / "o"
+        rc = main(["discover", *flags, "--test", "hsic", "--in", str(src), "--out", str(out)])
+        assert rc == 2
+        assert f"error: {message}; the kernel threshold needs at least 20" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+
+class TestOnePipeline:
+    """discover and reproduce run one pipeline: one series, one graph."""
+
+    @pytest.mark.parametrize("paradigm,method,stem,flags", [
+        ("LinearGaussianVAR", "TPCS", "rolled", ["--tau", "2", "--stride", "2"]),
+        # plain PC finds no lagged edge, but contemporaneous ones, one undirected
+        ("ContemporaneousVARMA", "PC", "graph", []),
+    ])
+    def test_discover_finds_the_sweep_estimate(self, tmp_path, paradigm, method, stem, flags):
+        # the sweep's only series (eta 1.0 keys as 1000), written exactly;
+        # both runs are Fisher-z, so neither draws a random number
+        cfg = SweepConfig(paradigm=paradigm, methods=(method,), reps=1)
+        seed = derive_seed(cfg.seed, PARADIGMS.index(cfg.paradigm), 1000, 0)
+        src = tmp_path / "data.csv"
+        write_csv(generate(SimConfig(cfg.paradigm, eta=1.0, n=cfg.n, seed=seed)), src)
+        out = tmp_path / "o"
+        assert main(["discover", "--method", method.lower(), *flags, "--alpha", "0.05",
+                     "--in", str(src), "--out", str(out)]) == 0
+        estimate = run_sweep(cfg).cells[0].estimates[0]
+        assert estimate.edges
+        # undirected window edges of pc read both ways, as the sweep reads them
+        assert cli._load_rolled(str(out / f"{stem}.json")) == estimate
 
 
 class TestEvaluate:

@@ -15,9 +15,10 @@ from tspc.pc import CiQueryError, PcConfig, pc
 from tspc.rng import derive_seed, make_generator
 from tspc.simulate import SimConfig, generate, ground_truth
 from tspc.tpc import (
+    Method,
     TpcnsConfig,
     WindowConfig,
-    calibration_rows,
+    check_spread,
     forward_time,
     frequencies_to_csv,
     tpc,
@@ -110,12 +111,67 @@ class TestUnroll:
 class TestCalibrationRows:
     @pytest.mark.parametrize("method", ["pc", "tpcs", "tpcns"])
     def test_rows_each_family_searches(self, method):
+        # pc ignores tau and stride; tpcns calibrates on its first window_length rows
         data = linvar(derive_seed(101, 0), n=200)
-        window = WindowConfig(tau=2, r=2)
-        unrolled = unroll(data, window).values
-        args = {"pc": (WindowConfig(tau=1, r=1),), "tpcs": (window,), "tpcns": (window, 30)}
+        unrolled = unroll(data, WindowConfig(tau=2, r=2)).values
         expected = {"pc": data.values, "tpcs": unrolled, "tpcns": unrolled[:30]}[method]
-        assert np.array_equal(calibration_rows(data, *args[method]), expected)
+        seen = []
+
+        def pair(rows, boot, test):
+            seen.append(rows)
+            return 0.5
+
+        run = Method(method, tau=2, stride=2, window_length=30)
+        assert run.calibrate(data, HsicConfig(max_rows=25), pair) == HsicConfig(0.5, 25)
+        assert np.array_equal(seen[0], expected)
+        # a test with its threshold set calibrates nothing
+        assert run.calibrate(data, GaussianCiConfig(alpha=0.05), pair) == GaussianCiConfig(0.05)
+        assert run.calibrate(data, HsicConfig(gamma=0.1), pair) == HsicConfig(gamma=0.1)
+        assert len(seen) == 1
+
+
+class TestMethod:
+    def test_name_sets_window_and_searched_rows(self):
+        # pc searches the raw rows whatever tau and stride say; an HS suffix
+        # and the case of the name change nothing
+        assert Method("PCHS", tau=3, stride=1).window == WindowConfig(1, 1)
+        assert Method("tpcs", tau=3, stride=1).window == WindowConfig(3, 1)
+        assert Method("TPCS", tau=2, stride=2).searched_rows(200) == 100
+        assert Method("TPCNSHS", tau=2, stride=2, window_length=30).searched_rows(200) == 30
+        with pytest.raises(ValueError, match="window length 120 exceeds the 100 unrolled"):
+            Method("tpcns", tau=2, stride=2, window_length=120).searched_rows(200)
+        with pytest.raises(ValueError, match="unknown method 'gc'"):
+            Method("gc")
+        Method("pc", tau=0)
+        with pytest.raises(ValueError, match="tau must be at least 1"):
+            Method("tpcs", tau=0)
+
+    @pytest.mark.parametrize("method,test,message", [
+        (Method("tpcns", window_length=10), HsicConfig(),
+         "tpcns calibrates on 10 rows (L); the kernel threshold needs at least 20"),
+        (Method("pc"), HsicConfig(max_rows=19), "pc calibrates on 19 rows (cap); "),
+        (Method("TPCS", tau=2, stride=8), HsicConfig(max_rows=400),
+         "TPCS calibrates on 8 rows (window); "),
+        (Method("tpcns", window_length=3), HsicConfig(gamma=0.1),
+         "tpcns searches 3 rows (L); the kernel test needs at least 4"),
+        (Method("pc"), GaussianCiConfig(alpha=0.05), "pc searches 3 rows; the Fisher-z test"),
+    ])
+    def test_check_names_the_bound_that_binds(self, method, test, message):
+        rows = 3 if message.startswith("pc searches") else 60
+        with pytest.raises(ValueError) as info:
+            method.check(rows, test, {"window_length": "L", "max_rows": "cap", "window": "window"})
+        assert str(info.value).startswith(message)
+
+    def test_fixed_fisher_z_threshold_and_oracle_have_no_floor(self):
+        Method("pc").check(2, GaussianCiConfig(gamma=0.1))
+        Method("pc").check(2, None)
+
+    def test_check_spread_names_overflowing_columns(self):
+        values = np.random.default_rng(3).normal(size=(50, 4))
+        check_spread(DataMatrix(values * 1e100))
+        values[:, [1, 3]] *= 1e200
+        with pytest.raises(ValueError, match=r"column\(s\) 2, 4: a squared deviation"):
+            check_spread(DataMatrix(values))
 
 
 class TestTpc:
